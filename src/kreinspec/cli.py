@@ -21,7 +21,7 @@ from .operators import KreinPerturbationProblem
 from .reporting import ConfigError, RunConfig, RunRecord, artifact_version, \
     finalize_record, load_config, matrix_from_json, normalize_config, \
     write_csv, write_json, write_report
-from .sturm_liouville import Potential, QuadratureError, TAU0_UPPER_BOUND, \
+from .sturm_liouville import Potential, TAU0_UPPER_BOUND, \
     bst_region, containment_report, discretize, extremizer_probe, \
     indicator_probe, sl_constants, tau0_hilbert_form
 from .verification import HypothesisUnmetError, random_block_operator, \
@@ -80,131 +80,114 @@ def cmd_region(args) -> int:
                   p["re_max"] if p["re_max"] is not None else math.inf)
 
     if p["kind"] == "hull":
-        bound = RelBound(p["a"], p["b"])
-        pts = boundary_polyline(bound, p["resolution"], re_window=window)
-        out.parent.mkdir(parents=True, exist_ok=True)
-        out.write_text(polyline_to_csv(pts), encoding="utf-8")
-        record.register(out)
-        if p["overlay_prior"]:
-            xs = np.array([z.real for z in pts])
-            prior = [complex(x, y) for x, y in zip(xs, prior_hull_height(bound, xs))]
-            prior_path = out.with_name(out.stem + "_prior.csv")
-            prior_path.write_text(polyline_to_csv(prior), encoding="utf-8")
-            record.register(prior_path)
-        finalize_record(record, out.parent)
-        return EXIT_OK
-
-    gamma = p["gamma"]
-    if p["centers"] == "half-line-below":
-        centers = SpectrumModel.half_line_below(gamma)
-    elif p["centers"] == "half-line-above":
-        centers = SpectrumModel.half_line_above(gamma)
-    elif gamma == 0.0:
-        centers = SpectrumModel.from_points([0.0])
+        shape = RelBound(p["a"], p["b"])
     else:
-        centers = SpectrumModel.interval(-gamma, gamma)
-    region = DiskFamilyRegion(RelBound(p["a"], p["b"]), centers,
-                              radius_scale=p["radius_scale"])
-    pts = boundary_polyline(region, p["resolution"], re_window=window)
+        gamma = p["gamma"]
+        if p["centers"] == "half-line-below":
+            centers = SpectrumModel.half_line_below(gamma)
+        elif p["centers"] == "half-line-above":
+            centers = SpectrumModel.half_line_above(gamma)
+        elif gamma == 0.0:
+            centers = SpectrumModel.from_points([0.0])
+        else:
+            centers = SpectrumModel.interval(-gamma, gamma)
+        shape = DiskFamilyRegion(RelBound(p["a"], p["b"]), centers,
+                                 radius_scale=p["radius_scale"])
+    pts = boundary_polyline(shape, p["resolution"], re_window=window)
     out.parent.mkdir(parents=True, exist_ok=True)
     out.write_text(polyline_to_csv(pts), encoding="utf-8")
     record.register(out)
-    region_path = out.with_name(out.stem + "_region.json")
-    write_json(region_path, region_to_json(region))
-    record.register(region_path)
+    if p["kind"] != "hull":
+        region_path = out.with_name(out.stem + "_region.json")
+        write_json(region_path, region_to_json(shape))
+        record.register(region_path)
+    elif p["overlay_prior"]:
+        xs = np.array([z.real for z in pts])
+        prior = [complex(x, y) for x, y in zip(xs, prior_hull_height(shape, xs))]
+        prior_path = out.with_name(out.stem + "_prior.csv")
+        prior_path.write_text(polyline_to_csv(prior), encoding="utf-8")
+        record.register(prior_path)
     finalize_record(record, out.parent)
     return EXIT_OK
+
+
+def _run_suite(config: RunConfig, trial, payloads, own_aggregate,
+               headline: str) -> int:
+    """Run ``trial`` on every payload (in a process pool when --jobs > 1 and
+    there are several), write the suite report and its run record, and
+    name failing trials on stderr.  ``own_aggregate(summaries)`` gives the
+    command's own aggregate entries; ``headline`` formats the aggregate
+    into the stdout summary."""
+    p = config.params
+    record = _record_for(config)
+    if p["jobs"] > 1 and len(payloads) > 1:
+        with ProcessPoolExecutor(max_workers=p["jobs"]) as pool:
+            summaries = list(pool.map(trial, payloads))
+    else:
+        summaries = [trial(pl) for pl in payloads]
+    failing = [s for s in summaries if not s["verified"]]
+    aggregate = dict(own_aggregate(summaries), trials=len(summaries),
+                     failures=len(failing),
+                     failingSeeds=[s.get("seed") for s in failing],
+                     verified=not failing)
+    report_path = Path(p["report"])
+    write_report(record, {"aggregate": aggregate, "trials": summaries},
+                 report_path)
+    finalize_record(record, report_path.parent)
+    for s in failing:
+        print(f"FAIL trial {s['trial']} seed {s.get('seed')}", file=sys.stderr)
+    print(f"{config.command}: " + headline.format(**aggregate))
+    return EXIT_OK if not failing else EXIT_VERIFICATION
 
 
 def _matrix_lab_trial(payload):
     index, seed, max_dim, lambda_samples = payload
     block = random_block_operator(seed, max_dim=max_dim)
     report = verify_block_theorem(block, lambda_samples=lambda_samples, seed=seed)
-    summary = report.to_json()
-    summary["trial"] = index
-    summary["seed"] = seed
-    return summary
+    return dict(report.to_json(), trial=index, seed=seed)
 
 
 def cmd_matrix_lab(args) -> int:
     config = _resolve_config(args, "matrix-lab")
     p = config.params
-    record = _record_for(config)
-    seeds = trial_seeds(p["seed"], p["trials"])
     payloads = [(i, s, p["max_dim"], p["lambda_samples"])
-                for i, s in enumerate(seeds)]
-    if p["jobs"] > 1:
-        with ProcessPoolExecutor(max_workers=p["jobs"]) as pool:
-            summaries = list(pool.map(_matrix_lab_trial, payloads))
-    else:
-        summaries = [_matrix_lab_trial(pl) for pl in payloads]
-
-    failing = [s for s in summaries if not s["verified"]]
-    aggregate = {
-        "trials": p["trials"],
-        "rootSeed": p["seed"],
-        "nonrealTotal": sum(s["checks"]["nonrealCount"] for s in summaries),
-        "failures": len(failing),
-        "failingSeeds": [s["seed"] for s in failing],
-        "verified": not failing,
-    }
-    report_path = Path(p["report"])
-    write_report(record, {"aggregate": aggregate, "trials": summaries},
-                 report_path)
-    finalize_record(record, report_path.parent)
-    for s in failing:
-        print(f"FAIL trial {s['trial']} seed {s['seed']}", file=sys.stderr)
-    print(f"matrix-lab: {p['trials']} trials, "
-          f"{aggregate['nonrealTotal']} non-real eigenvalues, "
-          f"{len(failing)} failures")
-    return EXIT_OK if not failing else EXIT_VERIFICATION
+                for i, s in enumerate(trial_seeds(p["seed"], p["trials"]))]
+    return _run_suite(config, _matrix_lab_trial, payloads,
+                      lambda summaries: {
+                          "rootSeed": p["seed"],
+                          "nonrealTotal": sum(s["checks"]["nonrealCount"]
+                                              for s in summaries)},
+                      "{trials} trials, {nonrealTotal} non-real eigenvalues, "
+                      "{failures} failures")
 
 
 def _perturb_trial(payload):
     index, seed, max_dim, tau = payload
     problem = random_krein_problem(seed, max_dim=max_dim)
-    summary = verify_tmain(problem, tau=tau).to_json()
-    summary["trial"] = index
-    summary["seed"] = seed
-    return summary
+    return dict(verify_tmain(problem, tau=tau).to_json(), trial=index, seed=seed)
+
+
+def _perturb_file_trial(payload):
+    problem, tau = payload
+    return dict(verify_tmain(problem, tau=tau).to_json(), trial=0)
 
 
 def cmd_perturb(args) -> int:
     config = _resolve_config(args, "perturb")
     p = config.params
-    record = _record_for(config)
-    tau = p["tau"]
-    reports = []
     if p["problem"] is not None:
         payload = json.loads(Path(p["problem"]).read_text(encoding="utf-8"))
         problem = KreinPerturbationProblem(
             signature=np.asarray(payload["signature"], dtype=float),
             a0=matrix_from_json(payload["A0"]),
             v=matrix_from_json(payload["V"]))
-        rep = verify_tmain(problem, tau=tau)
-        summary = rep.to_json()
-        summary["trial"] = 0
-        reports.append(summary)
+        trial, payloads = _perturb_file_trial, [(problem, p["tau"])]
     else:
-        payloads = [(i, seed, p["max_dim"], tau)
-                    for i, seed in enumerate(trial_seeds(p["seed"], p["trials"]))]
-        if p["jobs"] > 1:
-            with ProcessPoolExecutor(max_workers=p["jobs"]) as pool:
-                reports = list(pool.map(_perturb_trial, payloads))
-        else:
-            reports = [_perturb_trial(pl) for pl in payloads]
-    failing = [s for s in reports if not s["verified"]]
-    aggregate = {"trials": len(reports), "failures": len(failing),
-                 "failingSeeds": [s.get("seed") for s in failing],
-                 "verified": not failing}
-    report_path = Path(p["report"])
-    write_report(record, {"aggregate": aggregate, "trials": reports},
-                 report_path)
-    finalize_record(record, report_path.parent)
-    for s in failing:
-        print(f"FAIL trial {s['trial']} seed {s.get('seed')}", file=sys.stderr)
-    print(f"perturb: {len(reports)} instances, {len(failing)} failures")
-    return EXIT_OK if not failing else EXIT_VERIFICATION
+        trial = _perturb_trial
+        payloads = [(i, s, p["max_dim"], p["tau"])
+                    for i, s in enumerate(trial_seeds(p["seed"], p["trials"]))]
+    return _run_suite(config, trial, payloads, lambda summaries: {},
+                      "{trials} instances, {failures} failures")
 
 
 def _build_potential(p) -> Potential:
@@ -322,7 +305,7 @@ def main(argv=None) -> int:
     except HypothesisUnmetError as exc:
         print(f"hypothesis unmet: {exc}", file=sys.stderr)
         return EXIT_HYPOTHESIS
-    except QuadratureError as exc:
+    except (ArithmeticError, np.linalg.LinAlgError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except (ValueError, OSError) as exc:

@@ -10,6 +10,7 @@ manifest so a replayed run can be compared byte for byte.
 import hashlib
 import json
 import math
+import os
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
@@ -261,8 +262,7 @@ def write_csv(path, header, rows) -> Path:
 
 def _digest(path: Path) -> dict:
     data = Path(path).read_bytes()
-    return {"path": Path(path).name, "sha256": hashlib.sha256(data).hexdigest(),
-            "bytes": len(data)}
+    return {"sha256": hashlib.sha256(data).hexdigest(), "bytes": len(data)}
 
 
 @dataclass
@@ -275,10 +275,10 @@ class RunRecord:
     created_at: str = field(
         default_factory=lambda: datetime.now(timezone.utc).isoformat())
     input_digests: dict = field(default_factory=dict)
-    outputs: list = field(default_factory=list)
+    outputs: list = field(default_factory=list)  # (absolute path, digest)
 
     def register(self, path) -> None:
-        self.outputs.append(_digest(path))
+        self.outputs.append((os.path.abspath(path), _digest(path)))
 
 
 def write_report(record: RunRecord, report, path) -> Path:
@@ -289,12 +289,14 @@ def write_report(record: RunRecord, report, path) -> Path:
 
 
 def finalize_record(record: RunRecord, directory) -> Path:
-    """Persist the run record (with its output manifest) next to the outputs."""
+    """Persist the run record in ``directory``; its output manifest gives
+    each path relative to that directory, in POSIX form."""
     path = Path(directory) / "run_record.json"
+    outputs = [dict(digest, path=Path(os.path.relpath(out, directory)).as_posix())
+               for out, digest in record.outputs]
     payload = {"config": record.config, "version": record.version,
                "createdAt": record.created_at,
-               "inputDigests": record.input_digests,
-               "outputs": record.outputs}
+               "inputDigests": record.input_digests, "outputs": outputs}
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_bytes(canonical_json(payload).encode("utf-8"))
     return path

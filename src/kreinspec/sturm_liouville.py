@@ -9,7 +9,7 @@ involution built from the unperturbed spectral projections.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import mpmath as mp
 import numpy as np
@@ -18,7 +18,7 @@ from scipy.linalg import solve_banded
 from scipy.special import gammaln
 
 from .geometry import SLBox
-from .verification import EigenRecord, VerificationReport
+from .verification import VerificationReport
 
 __all__ = [
     "QuadratureError",
@@ -51,6 +51,9 @@ class QuadratureError(ArithmeticError):
 
 
 SQRT2 = math.sqrt(2.0)
+# Inverse-iteration eigenvectors whose relative residual exceeds this cap
+# give no sign test; the eigenvalue is reported indeterminate instead.
+SIGN_RESIDUAL_CAP = 1e-6
 # sup of the Rayleigh quotient of the involution form: 3 + 2 sqrt(2)
 TAU0_UPPER_BOUND = 3.0 + 2.0 * SQRT2
 
@@ -260,7 +263,9 @@ class SLDiscretization:
     The n interior grid points (n even) are symmetric about zero with no
     node at zero, Dirichlet conditions at +-L.  T is the Hermitian
     tridiagonal -D2 + diag(q); the weight is diag(sgn(x)); A is their
-    product, a real nonsymmetric tridiagonal matrix.
+    product, a real nonsymmetric tridiagonal matrix.  Only the potential
+    samples are stored: every form of A derives from ``diagonals``, and
+    the dense ``A`` and ``T`` are built anew on each access (test oracles).
     """
 
     potential: Potential
@@ -270,34 +275,28 @@ class SLDiscretization:
     grid_x: np.ndarray
     q_values: np.ndarray
     signs: np.ndarray
-    _t_cache: np.ndarray | None = field(default=None, repr=False)
-    _a_cache: np.ndarray | None = field(default=None, repr=False)
 
     @property
-    def T(self) -> np.ndarray:
-        if self._t_cache is None:
-            t = np.diag(2.0 / self.h**2 + self.q_values)
-            off = np.full(self.n - 1, -1.0 / self.h**2)
-            t += np.diag(off, 1) + np.diag(off, -1)
-            self._t_cache = t
-        return self._t_cache
-
-    @property
-    def J(self) -> np.ndarray:
-        return np.diag(self.signs)
+    def diagonals(self) -> tuple:
+        """A's (main, upper, lower) diagonals; the upper one holds
+        A[i, i+1] and the lower one A[i+1, i]."""
+        off = self.signs * (-1.0 / self.h**2)
+        return self.signs * (2.0 / self.h**2 + self.q_values), off[:-1], off[1:]
 
     @property
     def A(self) -> np.ndarray:
-        if self._a_cache is None:
-            self._a_cache = self.signs[:, None] * self.T
-        return self._a_cache
+        return _dense_tridiagonal(*self.diagonals)
+
+    @property
+    def T(self) -> np.ndarray:
+        main, upper, lower = self.diagonals
+        s = self.signs
+        return _dense_tridiagonal(s * main, s[:-1] * upper, s[1:] * lower)
 
     @property
     def a_banded(self) -> np.ndarray:
         """A in solve_banded layout (upper, main, lower diagonals)."""
-        main = self.signs * (2.0 / self.h**2 + self.q_values)
-        upper = self.signs[:-1] * (-1.0 / self.h**2)
-        lower = self.signs[1:] * (-1.0 / self.h**2)
+        main, upper, lower = self.diagonals
         ab = np.zeros((3, self.n))
         ab[0, 1:] = upper
         ab[1, :] = main
@@ -309,6 +308,15 @@ class SLDiscretization:
         q = self.q_values
         scale = max(float(np.max(np.abs(q))), 1.0)
         return bool(np.all(np.abs(q - q[::-1]) <= 1e-13 * scale))
+
+
+def _dense_tridiagonal(main, upper, lower) -> np.ndarray:
+    """Dense matrix with the given diagonals, filled into one zeros array."""
+    out = np.zeros((main.size, main.size))
+    np.fill_diagonal(out, main)
+    np.fill_diagonal(out[:, 1:], upper)
+    np.fill_diagonal(out[1:], lower)
+    return out
 
 
 def discretize(q: Potential, L: float = 30.0, n: int = 4000) -> SLDiscretization:
@@ -332,14 +340,10 @@ def _parity_eigenvalues(disc: SLDiscretization) -> np.ndarray:
     of each eigenvalue of the half-size product B C.  B and C equal the
     leading n/2 block of A up to one corner entry.
     """
-    n, h = disc.n, disc.h
-    m = n // 2
-    main = disc.signs * (2.0 / h**2 + disc.q_values)
-    s_block = np.diag(main[:m])
-    off = disc.signs[: m - 1] * (-1.0 / h**2)
-    s_block += np.diag(off, 1)
-    s_block += np.diag(disc.signs[1:m] * (-1.0 / h**2), -1)
-    corner = disc.signs[m - 1] * (-1.0 / h**2)  # entry A[m-1, m]
+    m = disc.n // 2
+    main, upper, lower = disc.diagonals
+    s_block = _dense_tridiagonal(main[:m], upper[:m - 1], lower[:m - 1])
+    corner = upper[m - 1]  # entry A[m-1, m]
     b_block = s_block.copy()
     b_block[m - 1, m - 1] -= corner
     c_block = s_block.copy()
@@ -424,8 +428,7 @@ def containment_slack(disc: SLDiscretization, scale: float,
 
 def containment_report(disc: SLDiscretization, p: float,
                        slack_c: float = 1.0, slack_kappa: float = 1.0,
-                       tol: float = 1e-8, sign_tol: float = 1e-6,
-                       sign_residual_cap: float = 1e-6) -> VerificationReport:
+                       tol: float = 1e-8) -> VerificationReport:
     """Check all non-real eigenvalues against the box and the competing
     region (inflated by the discretization slack), and the eigenvector sign
     of real eigenvalues beyond the box."""
@@ -441,51 +444,34 @@ def containment_report(disc: SLDiscretization, p: float,
                   "L": disc.L, "n": disc.n, "p": p},
         bounds={"qNorm": q_norm, "imHalfHeight": box.im_half_height,
                 "reHalfWidth": box.re_half_width, "bstIm": bst.im_bound,
-                "bstAbs": bst.abs_bound, "slack": slack},
-        eigenvalues=[],
-    )
+                "bstAbs": bst.abs_bound, "slack": slack})
     table = []
-    sign_tested = 0
     for z in evals:
         z = complex(z)
         if abs(z.imag) > tol * (1.0 + abs(z)):
-            report.nonreal_count += 1
             m_box = box.margin(z)
             m_bst = bst.margin(z)
             in_box = m_box <= slack
             in_bst = m_bst <= slack
-            report.eigenvalues.append(
-                EigenRecord(z, in_box and in_bst, max(m_box, m_bst), "nonreal"))
+            report.add_nonreal(z, in_box and in_bst, max(m_box, m_bst),
+                               {"lambda": [z.real, z.imag], "margin_box": m_box,
+                                "margin_bst": m_bst})
             table.append({"re": z.real, "im": z.imag, "in_paper_box": in_box,
                           "in_bst": in_bst, "margin_paper": m_box,
                           "margin_bst": m_bst})
-            if not (in_box and in_bst):
-                report.containment_failures.append(
-                    {"lambda": [z.real, z.imag], "margin_box": m_box,
-                     "margin_bst": m_bst})
             continue
-        lam = z.real
-        rec = EigenRecord(complex(lam), True, 0.0, "real")
-        report.eigenvalues.append(rec)
-        if abs(lam) <= box.re_half_width + slack:
-            continue
-        v, residual = sl_eigenvector(disc, lam)
-        if residual > sign_residual_cap:
-            report.indeterminate.append({"lambda": lam, "residual": residual})
-            continue
-        sign = float(np.sum(disc.signs * np.abs(v) ** 2))
-        rec.sign = sign
-        sign_tested += 1
-        want_pos = lam > 0
-        good = sign > sign_tol if want_pos else sign < -sign_tol
-        if not good:
-            report.sign_type_failures.append(
-                {"lambda": lam, "sign": sign,
-                 "expected": "positive" if want_pos else "negative"})
+        lam, sign = z.real, None
+        if abs(lam) > box.re_half_width + slack:
+            v, residual = sl_eigenvector(disc, lam)
+            if residual > SIGN_RESIDUAL_CAP:
+                report.add_indeterminate(lam, "eigenvector residual above cap",
+                                         residual=residual)
+            else:
+                sign = float(np.sum(disc.signs * np.abs(v) ** 2))
+                report.check_sign(lam, sign, lam > 0)
+        report.add_real(lam, sign)
     report.checks["table"] = table
-    report.checks["signType"] = {"tested": sign_tested,
-                                 "failures": len(report.sign_type_failures),
-                                 "indeterminate": len(report.indeterminate)}
+    report.summarize_sign_checks()
     return report
 
 

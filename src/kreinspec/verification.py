@@ -10,6 +10,7 @@ signals an implementation or tolerance bug, never "an unlucky instance".
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -22,6 +23,8 @@ __all__ = [
     "HypothesisUnmetError",
     "VerificationReport",
     "EigenRecord",
+    "Spectrum",
+    "classify_spectrum",
     "fit_relative_bound",
     "region_area",
     "random_block_operator",
@@ -32,7 +35,19 @@ __all__ = [
     "trial_seeds",
 ]
 
+# b values over which the harnesses fit relative bounds: 0, 0.01, ..., 0.99
 DEFAULT_B_GRID = tuple(round(0.01 * k, 2) for k in range(100))
+# resolvent_order_check's coarser grid: 0.05, 0.10, ..., 0.95
+ORDER_B_GRID = tuple(round(0.05 * k, 2) for k in range(1, 20))
+# An eigenvalue counts as non-real when |Im lam| > NONREAL_TOL (1 + |lam|)
+# kappa, kappa being the condition number of the eigenbasis (capped at 1e8).
+NONREAL_TOL = 1e-8
+# A sign test passes when (Jf, f)/norm(f)^2 exceeds SIGN_TOL in magnitude
+# and has the expected sign.
+SIGN_TOL = 1e-6
+# A real eigenvalue within CLUSTER_TOL * scale of another one has no
+# well-defined eigenvector, so its sign type is left indeterminate.
+CLUSTER_TOL = 1e-6
 
 
 class HypothesisUnmetError(ValueError):
@@ -56,18 +71,48 @@ class VerificationReport:
 
     instance: dict
     bounds: dict
-    eigenvalues: list
+    eigenvalues: list = field(default_factory=list)
     nonreal_count: int = 0
     containment_failures: list = field(default_factory=list)
     resolvent_check_failures: list = field(default_factory=list)
     sign_type_failures: list = field(default_factory=list)
     indeterminate: list = field(default_factory=list)
     checks: dict = field(default_factory=dict)
+    sign_tested: int = 0
 
     @property
     def verified(self) -> bool:
         return not (self.containment_failures or self.resolvent_check_failures
                     or self.sign_type_failures)
+
+    def add_nonreal(self, lam: complex, contained: bool, margin: float,
+                    failure: dict) -> None:
+        """Record a non-real eigenvalue; ``failure`` describes the missed
+        enclosure and is listed only when ``contained`` is false."""
+        self.nonreal_count += 1
+        self.eigenvalues.append(EigenRecord(lam, contained, margin, "nonreal"))
+        if not contained:
+            self.containment_failures.append(failure)
+
+    def add_real(self, lam, sign: float | None = None, margin: float = 0.0) -> None:
+        self.eigenvalues.append(
+            EigenRecord(complex(lam), True, margin, "real", sign=sign))
+
+    def check_sign(self, lam: float, sign: float, positive: bool) -> None:
+        """Sign-type test of one real eigenvalue against SIGN_TOL."""
+        self.sign_tested += 1
+        if not (sign > SIGN_TOL if positive else sign < -SIGN_TOL):
+            self.sign_type_failures.append(
+                {"lambda": lam, "sign": sign,
+                 "expected": "positive" if positive else "negative"})
+
+    def add_indeterminate(self, lam: float, reason: str, **details) -> None:
+        self.indeterminate.append({"lambda": lam, "reason": reason, **details})
+
+    def summarize_sign_checks(self) -> None:
+        self.checks["signType"] = {"tested": self.sign_tested,
+                                   "failures": len(self.sign_type_failures),
+                                   "indeterminate": len(self.indeterminate)}
 
     def margin_summary(self) -> dict:
         ms = [r.margin for r in self.eigenvalues if r.kind == "nonreal"]
@@ -206,15 +251,35 @@ def random_krein_problem(seed: int, max_dim: int = 20,
                                     v=sig[:, None] * w)
 
 
-def _classify_eigenvalues(matrix, nonreal_tol: float = 1e-8):
-    """Eigenpairs plus a non-real flag scaled by the eigenbasis conditioning."""
+class Spectrum(NamedTuple):
+    """Eigenpairs of a dense matrix, flagged for the enclosure and sign tests."""
+
+    values: np.ndarray
+    vectors: np.ndarray
+    nonreal: np.ndarray  # per eigenvalue, see NONREAL_TOL
+    clustered: np.ndarray  # per eigenvalue, see CLUSTER_TOL
+    kappa: float  # eigenbasis condition number, capped at 1e8
+    scale: float  # max(norm_2, 1)
+
+    def sign(self, idx: int, j_sig) -> float:
+        """(Jf, f)/norm(f)^2 for the eigenvector f of eigenvalue ``idx``."""
+        f = self.vectors[:, idx]
+        return float(np.real(f.conj() @ (j_sig * f)) / np.real(f.conj() @ f))
+
+
+def classify_spectrum(matrix) -> Spectrum:
+    """Eigenpairs of ``matrix`` with the non-real and clustered flags."""
     evals, evecs = np.linalg.eig(matrix)
     try:
         kappa = min(float(np.linalg.cond(evecs)), 1e8)
     except np.linalg.LinAlgError:
         kappa = 1e8
-    flags = np.abs(evals.imag) > nonreal_tol * (1.0 + np.abs(evals)) * kappa
-    return evals, evecs, flags, kappa
+    scale = max(np.linalg.norm(matrix, 2), 1.0)
+    gaps = np.abs(evals[:, None] - evals[None, :])
+    np.fill_diagonal(gaps, np.inf)
+    return Spectrum(evals, evecs,
+                    np.abs(evals.imag) > NONREAL_TOL * (1.0 + np.abs(evals)) * kappa,
+                    gaps.min(axis=1) <= CLUSTER_TOL * scale, kappa, scale)
 
 
 def _select_pair(curve, center_sq_max: float) -> tuple:
@@ -223,9 +288,7 @@ def _select_pair(curve, center_sq_max: float) -> tuple:
 
 
 def verify_block_theorem(block: BlockOperator, lambda_samples: int = 1000,
-                         seed: int = 0, b_grid=DEFAULT_B_GRID,
-                         nonreal_tol: float = 1e-8,
-                         sign_tol: float = 1e-6) -> VerificationReport:
+                         seed: int = 0) -> VerificationReport:
     """Check the block-matrix enclosure on one instance.
 
     Verified statements: every non-real eigenvalue lies where both resolvent
@@ -241,10 +304,9 @@ def verify_block_theorem(block: BlockOperator, lambda_samples: int = 1000,
     d_plus, u_plus = np.linalg.eigh(block.s_plus)
     d_minus, u_minus = np.linalg.eigh(block.s_minus)
     m = block.coupling
-    scale = max(np.linalg.norm(full, 2), 1.0)
 
-    curve_minus = fit_relative_bound(m, block.s_minus, b_grid)
-    curve_plus = fit_relative_bound(m.conj().T, block.s_plus, b_grid)
+    curve_minus = fit_relative_bound(m, block.s_minus)
+    curve_plus = fit_relative_bound(m.conj().T, block.s_plus)
     b_minus, a_minus = _select_pair(curve_minus, float(np.max(d_minus**2)))
     b_plus, a_plus = _select_pair(curve_plus, float(np.max(d_plus**2)))
 
@@ -263,26 +325,21 @@ def verify_block_theorem(block: BlockOperator, lambda_samples: int = 1000,
     def factor_norm_plus(lam):
         return float(np.linalg.norm(m_plus / (d_plus - lam), 2))
 
-    evals, evecs, nonreal, kappa = _classify_eigenvalues(full, nonreal_tol)
-    gaps = np.abs(evals[:, None] - evals[None, :]) + np.diag(np.full(len(evals), np.inf))
-    min_gap = gaps.min(axis=1)
+    spec = classify_spectrum(full)
+    scale = spec.scale
 
     report = VerificationReport(
         instance={"dims": list(block.dims), "seed": seed,
                   "norms": {"s_plus": float(np.linalg.norm(block.s_plus, 2)),
                             "s_minus": float(np.linalg.norm(block.s_minus, 2)),
                             "coupling": float(np.linalg.norm(m, 2))},
-                  "eig_condition": kappa},
+                  "eig_condition": spec.kappa},
         bounds={"a_minus": a_minus, "b_minus": b_minus,
-                "a_plus": a_plus, "b_plus": b_plus},
-        eigenvalues=[],
-    )
+                "a_plus": a_plus, "b_plus": b_plus})
 
-    sign_tested = 0
-    for idx, lam in enumerate(evals):
+    for idx, lam in enumerate(spec.values):
         lam = complex(lam)
-        if nonreal[idx]:
-            report.nonreal_count += 1
+        if spec.nonreal[idx]:
             near_minus = float(np.min(np.abs(d_minus - lam))) <= 1e-8 * scale
             near_plus = float(np.min(np.abs(d_plus - lam))) <= 1e-8 * scale
             in_k_minus = near_minus or factor_norm_minus(lam) >= 1.0 - 1e-10
@@ -292,21 +349,16 @@ def verify_block_theorem(block: BlockOperator, lambda_samples: int = 1000,
             margin = max(mem_minus.margin, mem_plus.margin)
             # slack absorbs the eigensolver's own error at tangency cases
             # (e.g. 1x1 blocks put non-real eigenvalues exactly on the rim)
-            ok = in_k_minus and in_k_plus and margin <= 1e-8 * scale
-            report.eigenvalues.append(EigenRecord(lam, ok, margin, "nonreal"))
-            if not ok:
-                report.containment_failures.append(
-                    {"lambda": [lam.real, lam.imag],
-                     "k_minus": in_k_minus, "k_plus": in_k_plus,
-                     "disks_minus": mem_minus.inside, "disks_plus": mem_plus.inside})
+            report.add_nonreal(
+                lam, in_k_minus and in_k_plus and margin <= 1e-8 * scale, margin,
+                {"lambda": [lam.real, lam.imag],
+                 "k_minus": in_k_minus, "k_plus": in_k_plus,
+                 "disks_minus": mem_minus.inside, "disks_plus": mem_plus.inside})
             continue
 
         lam_r = lam.real
-        f = evecs[:, idx]
-        sign = float(np.real(f.conj() @ (j_sig * f)) / np.real(f.conj() @ f))
-        rec = EigenRecord(lam, True, 0.0, "real", sign=sign)
-        report.eigenvalues.append(rec)
-        clustered = min_gap[idx] <= 1e-6 * scale
+        sign = spec.sign(idx, j_sig)
+        report.add_real(lam, sign)
         for (d_side, factor, want_pos) in (
                 (d_minus, factor_norm_minus, True),
                 (d_plus, factor_norm_plus, False)):
@@ -314,16 +366,10 @@ def verify_block_theorem(block: BlockOperator, lambda_samples: int = 1000,
                 continue  # inside the side's spectrum: no claim
             if factor(lam_r) >= 1.0 - 1e-10:
                 continue  # inside the K set: no claim
-            if clustered:
-                report.indeterminate.append(
-                    {"lambda": lam_r, "reason": "clustered eigenvalue"})
-                continue
-            sign_tested += 1
-            good = sign > sign_tol if want_pos else sign < -sign_tol
-            if not good:
-                report.sign_type_failures.append(
-                    {"lambda": lam_r, "sign": sign,
-                     "expected": "positive" if want_pos else "negative"})
+            if spec.clustered[idx]:
+                report.add_indeterminate(lam_r, "clustered eigenvalue")
+            else:
+                report.check_sign(lam_r, sign, want_pos)
 
     # sampled resolvent bound
     checked = 0
@@ -344,15 +390,12 @@ def verify_block_theorem(block: BlockOperator, lambda_samples: int = 1000,
                         {"lambda": [x, y], "norm": res, "cap": cap})
     report.checks["resolvent"] = {"sampled": lambda_samples, "applicable": checked,
                                   "failures": len(report.resolvent_check_failures)}
-    report.checks["signType"] = {"tested": sign_tested,
-                                 "failures": len(report.sign_type_failures),
-                                 "indeterminate": len(report.indeterminate)}
+    report.summarize_sign_checks()
     return report
 
 
-def verify_tmain(problem: KreinPerturbationProblem, tau: float | None = None,
-                 b_grid=DEFAULT_B_GRID, nonreal_tol: float = 1e-8,
-                 sign_tol: float = 1e-6) -> VerificationReport:
+def verify_tmain(problem: KreinPerturbationProblem,
+                 tau: float | None = None) -> VerificationReport:
     """Check the perturbation enclosure for A0 + V on one instance.
 
     Fits the scaled relative bound of V against A0 over a grid of b values,
@@ -366,35 +409,32 @@ def verify_tmain(problem: KreinPerturbationProblem, tau: float | None = None,
     tau0 = proj.tau0
     tau = tau0 if tau is None else max(float(tau), tau0)
     v_low = problem.jv_lower_bound
-    a_full = problem.a0 + problem.v
-    scale = max(np.linalg.norm(a_full, 2), 1.0)
     j_sig = problem.signature
 
     w_op = math.sqrt((1.0 + tau) * tau) * problem.v
-    curve = [(b, 0.5 * min_relative_bound(w_op, problem.a0, b)) for b in b_grid]
+    curve = [(b, 0.5 * min_relative_bound(w_op, problem.a0, b))
+             for b in DEFAULT_B_GRID]
 
     report = VerificationReport(
         instance={"dims": [problem.dim],
                   "norms": {"a0": float(np.linalg.norm(problem.a0, 2)),
                             "v": float(np.linalg.norm(problem.v, 2))}},
-        bounds={"tau": tau, "tau0": tau0, "v": v_low},
-        eigenvalues=[],
-    )
+        bounds={"tau": tau, "tau0": tau0, "v": v_low})
 
-    evals, evecs, nonreal, kappa = _classify_eigenvalues(a_full, nonreal_tol)
-    report.instance["eig_condition"] = kappa
+    spec = classify_spectrum(problem.a0 + problem.v)
+    scale = spec.scale
+    report.instance["eig_condition"] = spec.kappa
 
     if v_low >= 0.0:
         report.bounds.update({"a": None, "b": None, "gamma": None})
         report.checks["branch"] = "jv-nonnegative"
-        for lam in evals:
+        for lam in spec.values:
             lam = complex(lam)
-            ok = abs(lam.imag) <= nonreal_tol * scale * kappa
-            report.eigenvalues.append(
-                EigenRecord(lam, ok, abs(lam.imag), "real" if ok else "nonreal"))
-            if not ok:
-                report.nonreal_count += 1
-                report.containment_failures.append(
+            if abs(lam.imag) <= NONREAL_TOL * scale * spec.kappa:
+                report.add_real(lam, margin=abs(lam.imag))
+            else:
+                report.add_nonreal(
+                    lam, False, abs(lam.imag),
                     {"lambda": [lam.real, lam.imag],
                      "reason": "nonreal spectrum though J V >= 0"})
         return report
@@ -422,50 +462,29 @@ def verify_tmain(problem: KreinPerturbationProblem, tau: float | None = None,
     tight_section = gamma + math.sqrt(tight.radius_scale
                                       * (a_sel + b_sel * gamma * gamma))
 
-    gaps = np.abs(evals[:, None] - evals[None, :]) + np.diag(np.full(len(evals), np.inf))
-    min_gap = gaps.min(axis=1)
-
-    sign_tested = 0
-    for idx, lam in enumerate(evals):
+    for idx, lam in enumerate(spec.values):
         lam = complex(lam)
-        if nonreal[idx]:
-            report.nonreal_count += 1
-            margin = disk_region_membership(worse, lam).margin
-            if better is not None:
-                margin = max(margin, disk_region_membership(better, lam).margin)
-            ok = margin <= 1e-8 * scale
-            report.eigenvalues.append(EigenRecord(lam, ok, margin, "nonreal"))
-            if not ok:
-                report.containment_failures.append(
-                    {"lambda": [lam.real, lam.imag], "margin": margin})
+        if spec.nonreal[idx]:
+            margin = max(disk_region_membership(r, lam).margin
+                         for r in (worse, better) if r is not None)
+            report.add_nonreal(lam, margin <= 1e-8 * scale, margin,
+                               {"lambda": [lam.real, lam.imag], "margin": margin})
             continue
-        f = evecs[:, idx]
-        sign = float(np.real(f.conj() @ (j_sig * f)) / np.real(f.conj() @ f))
-        report.eigenvalues.append(EigenRecord(lam, True, 0.0, "real", sign=sign))
-        if min_gap[idx] <= 1e-6 * scale:
+        sign = spec.sign(idx, j_sig)
+        report.add_real(lam, sign)
+        if spec.clustered[idx]:
             if abs(lam.real) > tight_section * (1.0 + 1e-6):
-                report.indeterminate.append(
-                    {"lambda": lam.real, "reason": "clustered eigenvalue"})
+                report.add_indeterminate(lam.real, "clustered eigenvalue")
             continue
-        if lam.real > tight_section * (1.0 + 1e-6) + 1e-9 * scale:
-            sign_tested += 1
-            if not sign > sign_tol:
-                report.sign_type_failures.append(
-                    {"lambda": lam.real, "sign": sign, "expected": "positive"})
-        elif lam.real < -tight_section * (1.0 + 1e-6) - 1e-9 * scale:
-            sign_tested += 1
-            if not sign < -sign_tol:
-                report.sign_type_failures.append(
-                    {"lambda": lam.real, "sign": sign, "expected": "negative"})
+        if abs(lam.real) > tight_section * (1.0 + 1e-6) + 1e-9 * scale:
+            report.check_sign(lam.real, sign, lam.real > 0)
     report.checks["realSection"] = real_section
-    report.checks["signType"] = {"tested": sign_tested,
-                                 "failures": len(report.sign_type_failures),
-                                 "indeterminate": len(report.indeterminate)}
+    report.summarize_sign_checks()
     return report
 
 
 def resolvent_order_check(block: BlockOperator, samples: int = 1000,
-                          seed: int = 0, b_grid=None) -> dict:
+                          seed: int = 0) -> dict:
     """Sample the resolvent beyond the saturation threshold and report.
 
     Beyond |lam| > gamma + sqrt(gamma^2 + a/b) the factor norms drop below
@@ -479,11 +498,9 @@ def resolvent_order_check(block: BlockOperator, samples: int = 1000,
     d_plus = np.linalg.eigvalsh(block.s_plus)
     d_minus = np.linalg.eigvalsh(block.s_minus)
     gamma = max(float(np.max(d_minus)), float(-np.min(d_plus)), 0.0)
-    if b_grid is None:
-        b_grid = tuple(round(0.05 * k, 2) for k in range(1, 20))
     m = block.coupling
     best = None
-    for b in b_grid:
+    for b in ORDER_B_GRID:
         a = max(min_relative_bound(m, block.s_minus, b),
                 min_relative_bound(m.conj().T, block.s_plus, b))
         thr = smallerb_threshold(RelBound(a, b), gamma)

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from kreinspec import sturm_liouville
 from kreinspec.cli import main
 from kreinspec.reporting import matrix_to_json, verify_manifest
 
@@ -204,6 +205,31 @@ class TestSlCommand:
                     "--out", str(tmp_path / "x.csv"),
                     "--report", str(tmp_path / "r.json")])
         assert code == 2
+
+    def test_split_output_directories_verify(self, tmp_path):
+        code = run(["sl", "--kind", "step", "--depth", "5", "--p", "2",
+                    "--L", "6", "--n", "64",
+                    "--out", str(tmp_path / "a" / "eigs.csv"),
+                    "--report", str(tmp_path / "b" / "sl.json")])
+        assert code == 0
+        record = tmp_path / "b" / "run_record.json"
+        paths = [o["path"] for o in json.loads(record.read_text())["outputs"]]
+        assert paths == ["../a/eigs.csv", "../a/eigs_constants.csv", "sl.json"]
+        verify_manifest(record)
+
+    def test_eigensolver_failure_exit_four(self, tmp_path, monkeypatch,
+                                           capsys):
+        # LinAlgError subclasses ValueError but is a numerical failure
+        def fail(disc, force_dense=False):
+            raise np.linalg.LinAlgError("eigenvalues did not converge")
+
+        monkeypatch.setattr(sturm_liouville, "sl_eigenvalues", fail)
+        code = run(["sl", "--kind", "step", "--depth", "5", "--p", "2",
+                    "--L", "6", "--n", "64",
+                    "--out", str(tmp_path / "eigs.csv"),
+                    "--report", str(tmp_path / "sl.json")])
+        assert code == 4
+        assert "numerical failure" in capsys.readouterr().err
 
     def test_report_bytes_deterministic(self, tmp_path):
         reports = []

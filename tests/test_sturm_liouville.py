@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from kreinspec import sturm_liouville
 from kreinspec.sturm_liouville import (
     Potential,
     TAU0_UPPER_BOUND,
@@ -225,6 +226,7 @@ class TestDiscretize:
         np.testing.assert_allclose(np.diag(dense), ab[1])
         np.testing.assert_allclose(np.diag(dense, 1), ab[0, 1:])
         np.testing.assert_allclose(np.diag(dense, -1), ab[2, :-1])
+        np.testing.assert_array_equal(disc.T, disc.signs[:, None] * dense)
 
 
 class TestNonrealSpectrum:
@@ -288,6 +290,18 @@ class TestContainmentReport:
         for row in table:
             assert row["in_paper_box"] and row["in_bst"]
             assert row["margin_paper"] < 0 and row["margin_bst"] < 0
+
+    def test_poor_eigenvector_is_indeterminate_with_reason(self, monkeypatch):
+        disc = discretize(Potential(kind="step", depth=5.0), L=6.0, n=200)
+        monkeypatch.setattr(sturm_liouville, "sl_eigenvector",
+                            lambda disc, lam: (None, 1.0))
+        rep = containment_report(disc, 2.0)
+        assert rep.indeterminate
+        assert all(e["residual"] == 1.0
+                   and e["reason"] == "eigenvector residual above cap"
+                   for e in rep.indeterminate)
+        assert rep.checks["signType"]["tested"] == 0
+        assert rep.verified
 
     def test_sign_checks_ran(self):
         disc = discretize(Potential(kind="step", depth=5.0), L=14.0, n=700)

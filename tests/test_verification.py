@@ -105,6 +105,18 @@ class TestVerifyBlockTheorem:
                     mem = disk_region_membership(region, complex(lam))
                     assert mem.margin <= 1e-8 * scale
 
+    def test_clustered_eigenvalue_is_indeterminate(self):
+        # the double eigenvalue 5 has no well-defined eigenvector: both
+        # copies are reported indeterminate, while the simple -5 is tested
+        block = BlockOperator(np.diag([5.0, 5.0]), np.diag([-5.0]),
+                              np.zeros((2, 1)))
+        report = verify_block_theorem(block, lambda_samples=50, seed=0)
+        assert report.verified
+        assert report.indeterminate == [
+            {"lambda": 5.0, "reason": "clustered eigenvalue"}] * 2
+        assert report.checks["signType"] == {"tested": 1, "failures": 0,
+                                             "indeterminate": 2}
+
     def test_report_serializes(self):
         block = random_block_operator(11, max_dim=8)
         report = verify_block_theorem(block, lambda_samples=50, seed=11)
@@ -170,6 +182,21 @@ class TestVerifyTmain:
             assert report.verified, (seed, report.containment_failures,
                                      report.sign_type_failures)
         assert nonreal > 0  # the generator does exercise the enclosure branch
+
+    def test_clustered_eigenvalue_is_indeterminate(self):
+        # A0 + V = diag(9.99, 9.99, -9.99, -9.99): every eigenvalue is
+        # double and beyond the region's real section, so none is tested
+        sig = np.array([1.0, 1.0, -1.0, -1.0])
+        prob = KreinPerturbationProblem(signature=sig, a0=np.diag(sig * 10.0),
+                                        v=np.diag(sig * -0.01))
+        report = verify_tmain(prob)
+        assert report.checks["branch"] == "enclosure"
+        assert report.verified
+        assert sorted(e["lambda"] for e in report.indeterminate) == \
+            pytest.approx([-9.99, -9.99, 9.99, 9.99])
+        assert {e["reason"] for e in report.indeterminate} == \
+            {"clustered eigenvalue"}
+        assert report.checks["signType"]["tested"] == 0
 
     def test_user_tau_below_tau0_is_raised_to_tau0(self):
         prob = random_krein_problem(2, max_dim=6)
