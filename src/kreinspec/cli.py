@@ -65,14 +65,19 @@ def _resolve_config(args, command) -> RunConfig:
     return normalize_config(command, file_params)
 
 
-def _record_for(config: RunConfig) -> RunRecord:
-    return RunRecord(config={"command": config.command, **config.params})
+def _record_for(args, config: RunConfig, **inputs) -> RunRecord:
+    """Run record with the digest of each input file read, by flag name."""
+    record = RunRecord(config={"command": config.command, **config.params})
+    for flag, path in {"config": args.config, **inputs}.items():
+        if path is not None:
+            record.register_input(flag, path)
+    return record
 
 
 def cmd_region(args) -> int:
     config = _resolve_config(args, "region")
     p = config.params
-    record = _record_for(config)
+    record = _record_for(args, config)
     out = Path(p["out"])
     window = None
     if p["re_min"] is not None or p["re_max"] is not None:
@@ -111,15 +116,14 @@ def cmd_region(args) -> int:
     return EXIT_OK
 
 
-def _run_suite(config: RunConfig, trial, payloads, own_aggregate,
-               headline: str) -> int:
+def _run_suite(config: RunConfig, record: RunRecord, trial, payloads,
+               own_aggregate, headline: str) -> int:
     """Run ``trial`` on every payload (in a process pool when --jobs > 1 and
     there are several), write the suite report and its run record, and
     name failing trials on stderr.  ``own_aggregate(summaries)`` gives the
     command's own aggregate entries; ``headline`` formats the aggregate
     into the stdout summary."""
     p = config.params
-    record = _record_for(config)
     if p["jobs"] > 1 and len(payloads) > 1:
         with ProcessPoolExecutor(max_workers=p["jobs"]) as pool:
             summaries = list(pool.map(trial, payloads))
@@ -152,8 +156,8 @@ def cmd_matrix_lab(args) -> int:
     p = config.params
     payloads = [(i, s, p["max_dim"], p["lambda_samples"])
                 for i, s in enumerate(trial_seeds(p["seed"], p["trials"]))]
-    return _run_suite(config, _matrix_lab_trial, payloads,
-                      lambda summaries: {
+    return _run_suite(config, _record_for(args, config), _matrix_lab_trial,
+                      payloads, lambda summaries: {
                           "rootSeed": p["seed"],
                           "nonrealTotal": sum(s["checks"]["nonrealCount"]
                                               for s in summaries)},
@@ -175,8 +179,13 @@ def _perturb_file_trial(payload):
 def cmd_perturb(args) -> int:
     config = _resolve_config(args, "perturb")
     p = config.params
+    record = _record_for(args, config, problem=p["problem"])
     if p["problem"] is not None:
         payload = json.loads(Path(p["problem"]).read_text(encoding="utf-8"))
+        missing = [key for key in ("signature", "A0", "V")
+                   if not isinstance(payload, dict) or key not in payload]
+        if missing:
+            raise ConfigError(f"{p['problem']}: problem needs key {missing[0]!r}")
         problem = KreinPerturbationProblem(
             signature=np.asarray(payload["signature"], dtype=float),
             a0=matrix_from_json(payload["A0"]),
@@ -186,7 +195,7 @@ def cmd_perturb(args) -> int:
         trial = _perturb_trial
         payloads = [(i, s, p["max_dim"], p["tau"])
                     for i, s in enumerate(trial_seeds(p["seed"], p["trials"]))]
-    return _run_suite(config, trial, payloads, lambda summaries: {},
+    return _run_suite(config, record, trial, payloads, lambda summaries: {},
                       "{trials} instances, {failures} failures")
 
 
@@ -196,6 +205,9 @@ def _build_potential(p) -> Potential:
             raise ConfigError("tabulated potential requires --file")
         rows = [line.split(",") for line in
                 Path(p["file"]).read_text(encoding="utf-8").strip().splitlines()]
+        short = [number for number, r in enumerate(rows, 1) if len(r) < 2]
+        if short:
+            raise ConfigError(f"{p['file']}: line {short[0]} needs two columns")
         if rows and rows[0][0].strip().lower() == "x":
             rows = rows[1:]
         xs = [float(r[0]) for r in rows]
@@ -207,7 +219,8 @@ def _build_potential(p) -> Potential:
 def cmd_sl(args) -> int:
     config = _resolve_config(args, "sl")
     p = config.params
-    record = _record_for(config)
+    table_file = p["file"] if p["kind"] == "tabulated" else None
+    record = _record_for(args, config, file=table_file)
     potential = _build_potential(p)
     disc = discretize(potential, L=p["L"], n=p["n"])
     report = containment_report(disc, p["p"], slack_c=p["slack_c"],
@@ -243,7 +256,7 @@ def cmd_sl(args) -> int:
 def cmd_tau0(args) -> int:
     config = _resolve_config(args, "tau0")
     p = config.params
-    record = _record_for(config)
+    record = _record_for(args, config)
     if p["profile"] == "indicator":
         f1, f2, support = indicator_probe()
         reference = 1.0 + (2.0 / math.pi) * (10.0 * math.log(2.0)

@@ -562,6 +562,8 @@ def boundary_polyline(region, resolution: int = 256, re_window=None) -> list:
         if re_window is None:
             scale = math.sqrt(region.a / (1.0 - region.b)) if region.a > 0 else 1.0
             re_window = (-5.0 * scale, 5.0 * scale)
+        if not np.all(np.isfinite(re_window)):
+            raise ValueError(f"hull needs a finite re_window, got {re_window}")
         xs = np.linspace(re_window[0], re_window[1], resolution)
         return [complex(x, y) for x, y in zip(xs, hull_height(region, xs))]
     if not isinstance(region, DiskFamilyRegion):

@@ -280,6 +280,9 @@ class RunRecord:
     def register(self, path) -> None:
         self.outputs.append((os.path.abspath(path), _digest(path)))
 
+    def register_input(self, flag: str, path) -> None:
+        self.input_digests[flag] = _digest(path)
+
 
 def write_report(record: RunRecord, report, path) -> Path:
     """Write a report as deterministic JSON and register it in the record."""

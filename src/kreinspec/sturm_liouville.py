@@ -14,7 +14,6 @@ from dataclasses import dataclass
 import mpmath as mp
 import numpy as np
 from scipy.integrate import quad
-from scipy.linalg import solve_banded
 from scipy.special import gammaln
 
 from .geometry import SLBox
@@ -34,7 +33,7 @@ __all__ = [
     "lp_norm",
     "discretize",
     "sl_eigenvalues",
-    "sl_eigenvector",
+    "sl_sign_types",
     "nonreal_spectrum",
     "containment_slack",
     "containment_report",
@@ -51,9 +50,6 @@ class QuadratureError(ArithmeticError):
 
 
 SQRT2 = math.sqrt(2.0)
-# Inverse-iteration eigenvectors whose relative residual exceeds this cap
-# give no sign test; the eigenvalue is reported indeterminate instead.
-SIGN_RESIDUAL_CAP = 1e-6
 # sup of the Rayleigh quotient of the involution form: 3 + 2 sqrt(2)
 TAU0_UPPER_BOUND = 3.0 + 2.0 * SQRT2
 
@@ -294,16 +290,6 @@ class SLDiscretization:
         return _dense_tridiagonal(s * main, s[:-1] * upper, s[1:] * lower)
 
     @property
-    def a_banded(self) -> np.ndarray:
-        """A in solve_banded layout (upper, main, lower diagonals)."""
-        main, upper, lower = self.diagonals
-        ab = np.zeros((3, self.n))
-        ab[0, 1:] = upper
-        ab[1, :] = main
-        ab[2, :-1] = lower
-        return ab
-
-    @property
     def parity_symmetric(self) -> bool:
         q = self.q_values
         scale = max(float(np.max(np.abs(q))), 1.0)
@@ -361,39 +347,33 @@ def sl_eigenvalues(disc: SLDiscretization, force_dense: bool = False) -> np.ndar
     return np.linalg.eigvals(disc.A)
 
 
-def sl_eigenvector(disc: SLDiscretization, lam: complex, iters: int = 3,
-                   seed: int = 7) -> tuple:
-    """Eigenvector by banded inverse iteration; returns (vector, residual).
+def sl_sign_types(disc: SLDiscretization, real_sorted) -> np.ndarray:
+    """Inertia jump nu(b) - nu(a) across each real eigenvalue: +1 for
+    positive type, -1 for negative type, anything else when (a, b) does
+    not isolate one simple eigenvalue.
 
-    The residual is norm(A v - lam v) relative to the matrix scale; callers
-    should treat vectors with a poor residual as indeterminate.
+    ``real_sorted`` holds all real eigenvalues in ascending order; a and b
+    are the midpoints to the neighbours, 1.0 beyond the extreme ones.
+    nu(lam) counts the negative LDL^T pivots of the symmetric tridiagonal
+    pencil T - lam S (the Sturm count of LAPACK bisection, pivots below
+    pivmin replaced by -pivmin); at an eigenvalue, the branch of the
+    pencil's eigenvalues through zero has slope -(S v, v)/norm(v)^2.  The
+    recurrence runs over the grid rows for all points at once.
     """
-    n = disc.n
-    ab = disc.a_banded.astype(complex)
-    shift = complex(lam)
-    ab_shift = ab.copy()
-    ab_shift[1, :] -= shift
-    rng = np.random.default_rng(seed)
-    v = rng.standard_normal(n)
-    v = v / np.linalg.norm(v)
-    for _ in range(iters):
-        try:
-            v = solve_banded((1, 1), ab_shift, v)
-        except np.linalg.LinAlgError:
-            ab_shift[1, :] += 1e-12 * (1.0 + abs(shift))
-            v = solve_banded((1, 1), ab_shift, v)
-        v = v / np.linalg.norm(v)
-    av = _banded_matvec(ab, v)
-    scale = 2.0 / disc.h**2 + float(np.max(np.abs(disc.q_values)))
-    residual = float(np.linalg.norm(av - shift * v) / scale)
-    return v, residual
-
-
-def _banded_matvec(ab: np.ndarray, v: np.ndarray) -> np.ndarray:
-    out = ab[1, :] * v
-    out[:-1] += ab[0, 1:] * v[1:]
-    out[1:] += ab[2, :-1] * v[:-1]
-    return out
+    lam = np.asarray(real_sorted, dtype=float)
+    points = np.concatenate((lam[:1] - 1.0, 0.5 * (lam[:-1] + lam[1:]),
+                             lam[-1:] + 1.0))
+    main, upper, _ = disc.diagonals
+    t_main = disc.signs * main
+    t_off_sq = np.concatenate(([0.0], (disc.signs[:-1] * upper) ** 2))
+    pivmin = np.finfo(float).tiny * max(1.0, float(np.max(t_off_sq)))
+    negatives = np.zeros(points.size, dtype=int)
+    pivot = np.ones(points.size)
+    for d, s, e2 in zip(t_main, disc.signs, t_off_sq):
+        pivot = d - e2 / pivot - s * points
+        pivot[np.abs(pivot) < pivmin] = -pivmin
+        negatives += pivot < 0.0
+    return np.diff(negatives)
 
 
 def nonreal_spectrum(disc: SLDiscretization, tol: float = 1e-8) -> list:
@@ -430,14 +410,18 @@ def containment_report(disc: SLDiscretization, p: float,
                        slack_c: float = 1.0, slack_kappa: float = 1.0,
                        tol: float = 1e-8) -> VerificationReport:
     """Check all non-real eigenvalues against the box and the competing
-    region (inflated by the discretization slack), and the eigenvector sign
-    of real eigenvalues beyond the box."""
+    region (inflated by the discretization slack), and the sign type of
+    real eigenvalues beyond the box by ``sl_sign_types``."""
     q_norm = lp_norm(disc.potential, p)
     box = sl_box(p, q_norm)
     bst = bst_region(p, q_norm)
     slack = containment_slack(disc, max(1.0, box.re_half_width),
                               c=slack_c, kappa=slack_kappa)
-    evals = sl_eigenvalues(disc)
+    evals = [complex(z) for z in sl_eigenvalues(disc)]
+    real = sorted((i for i, z in enumerate(evals)
+                   if abs(z.imag) <= tol * (1.0 + abs(z))),
+                  key=lambda i: evals[i].real)
+    jumps = dict(zip(real, sl_sign_types(disc, [evals[i].real for i in real])))
     report = VerificationReport(
         instance={"potential": disc.potential.kind,
                   "depth": getattr(disc.potential, "depth", None),
@@ -446,9 +430,8 @@ def containment_report(disc: SLDiscretization, p: float,
                 "reHalfWidth": box.re_half_width, "bstIm": bst.im_bound,
                 "bstAbs": bst.abs_bound, "slack": slack})
     table = []
-    for z in evals:
-        z = complex(z)
-        if abs(z.imag) > tol * (1.0 + abs(z)):
+    for i, z in enumerate(evals):
+        if i not in jumps:
             m_box = box.margin(z)
             m_bst = bst.margin(z)
             in_box = m_box <= slack
@@ -462,13 +445,11 @@ def containment_report(disc: SLDiscretization, p: float,
             continue
         lam, sign = z.real, None
         if abs(lam) > box.re_half_width + slack:
-            v, residual = sl_eigenvector(disc, lam)
-            if residual > SIGN_RESIDUAL_CAP:
-                report.add_indeterminate(lam, "eigenvector residual above cap",
-                                         residual=residual)
-            else:
-                sign = float(np.sum(disc.signs * np.abs(v) ** 2))
+            if abs(jumps[i]) == 1:
+                sign = float(jumps[i])
                 report.check_sign(lam, sign, lam > 0)
+            else:
+                report.add_indeterminate(lam, f"net inertia jump {jumps[i]}")
         report.add_real(lam, sign)
     report.checks["table"] = table
     report.summarize_sign_checks()

@@ -106,8 +106,8 @@ class VerificationReport:
                 {"lambda": lam, "sign": sign,
                  "expected": "positive" if positive else "negative"})
 
-    def add_indeterminate(self, lam: float, reason: str, **details) -> None:
-        self.indeterminate.append({"lambda": lam, "reason": reason, **details})
+    def add_indeterminate(self, lam: float, reason: str) -> None:
+        self.indeterminate.append({"lambda": lam, "reason": reason})
 
     def summarize_sign_checks(self) -> None:
         self.checks["signType"] = {"tested": self.sign_tested,

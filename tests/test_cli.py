@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 
@@ -59,6 +60,14 @@ class TestRegionCommand:
                     "--out", str(tmp_path / "x.csv")])
         assert code == 2
         assert "error" in capsys.readouterr().err
+
+    def test_half_open_hull_window_exit_two(self, tmp_path, capsys):
+        out = tmp_path / "hull.csv"
+        code = run(["region", "--kind", "hull", "--a", "3", "--b", "0.5",
+                    "--re-min", "-4", "--resolution", "64", "--out", str(out)])
+        assert code == 2
+        assert "finite re_window" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestMatrixLabCommand:
@@ -132,6 +141,19 @@ class TestPerturbCommand:
                     "--report", str(tmp_path / "r.json")])
         assert code == 2
 
+    @pytest.mark.parametrize("payload, key", [
+        ({"signature": [1, -1], "V": matrix_to_json(np.zeros((2, 2)))}, "A0"),
+        ([1, -1], "signature"),
+    ], ids=["missing-A0", "not-an-object"])
+    def test_problem_file_missing_key_exit_two(self, tmp_path, capsys,
+                                               payload, key):
+        path = tmp_path / "problem.json"
+        path.write_text(json.dumps(payload))
+        code = run(["perturb", "--problem", str(path),
+                    "--report", str(tmp_path / "r.json")])
+        assert code == 2
+        assert repr(key) in capsys.readouterr().err
+
     def test_parallel_jobs_match_serial(self, tmp_path):
         r1, r2 = tmp_path / "serial.json", tmp_path / "par.json"
         base = ["perturb", "--trials", "6", "--max-dim", "8", "--seed", "5"]
@@ -191,6 +213,31 @@ class TestSlCommand:
                     "--out", str(tmp_path / "eigs.csv"),
                     "--report", str(tmp_path / "sl.json")])
         assert code == 0
+
+    def test_short_table_row_exit_two(self, tmp_path, capsys):
+        table = tmp_path / "q.csv"
+        table.write_text("x,q\n-1.0,-2.0\n0.5\n1.0,-2.0\n")
+        code = run(["sl", "--kind", "tabulated", "--file", str(table),
+                    "--p", "2", "--L", "6", "--n", "64",
+                    "--out", str(tmp_path / "eigs.csv"),
+                    "--report", str(tmp_path / "sl.json")])
+        assert code == 2
+        assert "line 3" in capsys.readouterr().err
+
+    def test_record_lists_input_digests(self, tmp_path):
+        table = tmp_path / "q.csv"
+        table.write_text("x,q\n-1.0,-2.0\n0.0,-3.0\n1.0,-2.0\n")
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"p": 2, "L": 6, "n": 64}')
+        code = run(["sl", "--kind", "tabulated", "--file", str(table),
+                    "--config", str(cfg), "--out", str(tmp_path / "eigs.csv"),
+                    "--report", str(tmp_path / "sl.json")])
+        assert code == 0
+        record = json.loads((tmp_path / "run_record.json").read_text())
+        assert record["inputDigests"] == {
+            flag: {"sha256": hashlib.sha256(path.read_bytes()).hexdigest(),
+                   "bytes": path.stat().st_size}
+            for flag, path in (("config", cfg), ("file", table))}
 
     def test_invalid_input_exit_two(self, tmp_path):
         code = run(["sl", "--kind", "step", "--depth", "5", "--p", "1",

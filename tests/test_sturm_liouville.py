@@ -22,7 +22,7 @@ from kreinspec.sturm_liouville import (
     sl_box,
     sl_constants,
     sl_eigenvalues,
-    sl_eigenvector,
+    sl_sign_types,
     tau0_hilbert_form,
 )
 
@@ -221,11 +221,10 @@ class TestDiscretize:
 
     def test_banded_layout_matches_dense(self):
         disc = discretize(Potential(kind="step", depth=2.0), L=4.0, n=16)
-        ab = disc.a_banded
+        main, upper, lower = disc.diagonals
         dense = disc.A
-        np.testing.assert_allclose(np.diag(dense), ab[1])
-        np.testing.assert_allclose(np.diag(dense, 1), ab[0, 1:])
-        np.testing.assert_allclose(np.diag(dense, -1), ab[2, :-1])
+        np.testing.assert_array_equal(dense, np.diag(main) + np.diag(upper, 1)
+                                      + np.diag(lower, -1))
         np.testing.assert_array_equal(disc.T, disc.signs[:, None] * dense)
 
 
@@ -251,13 +250,6 @@ class TestNonrealSpectrum:
         np.testing.assert_array_equal(sl_eigenvalues(disc1),
                                       sl_eigenvalues(disc2))
 
-    def test_eigenvector_inverse_iteration(self):
-        disc = discretize(Potential(kind="step", depth=5.0), L=10.0, n=200)
-        evals = sl_eigenvalues(disc)
-        lam = max(evals, key=lambda z: z.real).real
-        v, residual = sl_eigenvector(disc, lam)
-        assert residual < 1e-8
-
     def test_asymmetric_potential_falls_back_to_dense(self):
         xs = np.linspace(-2, 2, 31)
         qs = -3.0 * np.exp(-((xs - 0.6) ** 2))  # off-center: parity broken
@@ -271,6 +263,33 @@ class TestNonrealSpectrum:
         scale = np.max(np.abs(evals))
         for lam in evals:
             assert np.min(np.abs(evals - np.conj(lam))) < 1e-8 * scale
+
+
+class TestSignTypes:
+    @pytest.mark.parametrize("pot", [
+        Potential(kind="step", depth=5.0),
+        Potential(kind="gaussian", depth=12.0),
+        Potential(kind="lorentzian", depth=8.0, width=0.7),
+        Potential(kind="tabulated", table=(
+            np.linspace(-2, 2, 31),
+            -6.0 * np.exp(-((np.linspace(-2, 2, 31) - 0.6) ** 2)))),
+    ], ids=["step", "gaussian", "lorentzian", "tabulated-off-centre"])
+    def test_inertia_jump_matches_eigenvector_oracle(self, pot):
+        # oracle: the sign of (S v, v) for the eigenvectors of dense eig
+        disc = discretize(pot, L=8.0, n=300)
+        evals, vecs = np.linalg.eig(disc.A)
+        real = np.flatnonzero(np.abs(evals.imag) <= 1e-8 * (1 + np.abs(evals)))
+        real = real[np.argsort(evals[real].real)]
+        assert real.size > 250
+        oracle = [np.sign(np.vdot(vecs[:, i], disc.signs * vecs[:, i]).real)
+                  for i in real]
+        jumps = sl_sign_types(disc, evals[real].real)
+        np.testing.assert_array_equal(jumps, oracle)
+        assert set(jumps) == {-1, 1}
+
+    def test_no_real_eigenvalues(self):
+        disc = discretize(Potential(kind="step", depth=5.0), L=6.0, n=64)
+        assert sl_sign_types(disc, []).size == 0
 
 
 class TestContainmentReport:
@@ -291,16 +310,22 @@ class TestContainmentReport:
             assert row["in_paper_box"] and row["in_bst"]
             assert row["margin_paper"] < 0 and row["margin_bst"] < 0
 
-    def test_poor_eigenvector_is_indeterminate_with_reason(self, monkeypatch):
+    def test_missing_eigenvalue_is_indeterminate_with_reason(self, monkeypatch):
+        # Drop the second-largest real eigenvalue: the inertia count then
+        # jumps by 2 across the interval of exactly one of its neighbours.
         disc = discretize(Potential(kind="step", depth=5.0), L=6.0, n=200)
-        monkeypatch.setattr(sturm_liouville, "sl_eigenvector",
-                            lambda disc, lam: (None, 1.0))
+        full = containment_report(disc, 2.0)
+        evals = sl_eigenvalues(disc)
+        real = np.flatnonzero(np.abs(evals.imag) <= 1e-8 * (1 + np.abs(evals)))
+        dropped = real[np.argsort(evals[real].real)[-2]]
+        assert evals[dropped].real > full.bounds["reHalfWidth"] + 1.0
+        monkeypatch.setattr(sturm_liouville, "sl_eigenvalues",
+                            lambda disc: np.delete(evals, dropped))
         rep = containment_report(disc, 2.0)
-        assert rep.indeterminate
-        assert all(e["residual"] == 1.0
-                   and e["reason"] == "eigenvector residual above cap"
-                   for e in rep.indeterminate)
-        assert rep.checks["signType"]["tested"] == 0
+        assert [e["reason"] for e in rep.indeterminate] == ["net inertia jump 2"]
+        assert rep.checks["signType"] == {
+            "tested": full.checks["signType"]["tested"] - 2,
+            "failures": 0, "indeterminate": 1}
         assert rep.verified
 
     def test_sign_checks_ran(self):
@@ -310,6 +335,8 @@ class TestContainmentReport:
                  if r.kind == "real" and r.sign is not None]
         assert len(signs) > 100
         assert rep.checks["signType"]["tested"] == len(signs)
+        assert set(signs) == {-1.0, 1.0}  # the inertia jumps
+        assert not rep.indeterminate
         assert not rep.sign_type_failures
 
 
