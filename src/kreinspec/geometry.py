@@ -13,8 +13,11 @@ rescaling.  Membership decisions are made on the polynomial
     g(t) = |z - t|^2 - rho * (a + b t^2),
 
 which is quadratic in t, so the exact minimum over an interval of centers
-is available in closed form.  Signed margins use the metric form
-|z - t| - r(t) minimized numerically over the centers.
+is available in closed form.  Since Im z enters g only through the additive
+term (Im z)^2, the minimizing center does not depend on Im z, and the
+region's height above x is sqrt(-min_t g(t)) at z = x: boundary polylines
+and areas use that closed form, with no bisection.  Signed margins use the
+metric form |z - t| - r(t) minimized numerically over the centers.
 """
 
 import math
@@ -174,6 +177,11 @@ class DiskFamilyRegion:
         """Disk radius at center t (vectorized)."""
         return np.sqrt(self.radius_scale * (self.bound.a + self.bound.b * np.square(t)))
 
+    def height(self, x):
+        """Height of the region above abscissa x (vectorized), 0 off its real section."""
+        # 0.0 - g rather than -g: a boundary-exact g = 0 gives +0.0, not -0.0
+        return np.sqrt(np.maximum(0.0 - _min_g(self, x), 0.0))
+
     @property
     def real_extent(self) -> tuple:
         """Smallest interval [xmin, xmax] containing the region's real section."""
@@ -197,16 +205,13 @@ def _extremal_reach(region, lo, hi, side):
     """min of t - r(t) (side=-1) or max of t + r(t) (side=+1) over [lo, hi]."""
     if region.radius_scale * region.bound.b < 1.0:
         # |r'(t)| <= sqrt(rho b) < 1, so t +- r(t) is monotone increasing
-        t = hi if side > 0 else lo
-        return t + side * float(region.radius(t))
-
-    def objective(t):
-        return side * t + float(region.radius(t))
-
-    res = minimize_scalar(lambda t: -objective(t), bounds=(lo, hi), method="bounded",
-                          options={"xatol": 1e-12 * (1.0 + abs(lo) + abs(hi))})
-    cand = [objective(lo), objective(hi), objective(res.x)]
-    return side * max(cand)
+        ends = (hi,) if side > 0 else (lo,)
+    else:
+        # r is the Euclidean norm of (sqrt(rho a), sqrt(rho b) t), so it is
+        # convex and side t + r(t) peaks at an endpoint (finite: the centers
+        # are bounded when rho b >= 1)
+        ends = (lo, hi)
+    return side * max(side * t + float(region.radius(t)) for t in ends)
 
 
 @dataclass(frozen=True)
@@ -344,31 +349,6 @@ def sup_resolvent_factor_bound(bound: RelBound, spectrum: SpectrumModel,
     return math.sqrt(best)
 
 
-def _min_g_on_interval(region: DiskFamilyRegion, lam: complex, lo: float,
-                       hi: float) -> float:
-    """Exact min over [lo, hi] of g(t) = |lam - t|^2 - rho (a + b t^2)."""
-    a, b = region.bound.a, region.bound.b
-    rho = region.radius_scale
-    x, y = lam.real, lam.imag
-    lead = 1.0 - rho * b
-
-    def g(t):
-        return (t - x) ** 2 + y * y - rho * (a + b * t * t)
-
-    cands = []
-    if lead > 0.0:
-        cands.append(min(max(x / lead, lo), hi))
-    else:
-        # concave (or linear) in t: minimum at an endpoint; endpoints are
-        # finite here because unbounded centers with rho*b >= 1 are rejected
-        cands.extend([lo, hi])
-    if math.isfinite(lo):
-        cands.append(lo)
-    if math.isfinite(hi):
-        cands.append(hi)
-    return min(g(t) for t in cands)
-
-
 def _metric_margin_on_interval(region: DiskFamilyRegion, lam: complex, lo: float,
                                hi: float) -> float:
     """min over centers t in [lo, hi] of |lam - t| - r(t), by bounded minimization."""
@@ -405,15 +385,26 @@ def _metric_margin_on_interval(region: DiskFamilyRegion, lam: complex, lo: float
     return best
 
 
-def _min_g(region: DiskFamilyRegion, lam: complex) -> float:
-    """Exact min over all centers of g(t) = |lam - t|^2 - rho (a + b t^2)."""
-    min_g = math.inf
+def _min_g(region: DiskFamilyRegion, x, y=0.0):
+    """Exact min over all centers of g(t) = |x + iy - t|^2 - rho (a + b t^2),
+    vectorized over x.
+
+    On an interval the convex case (lead = 1 - rho b > 0) has its minimum at
+    the clamped vertex x / lead; otherwise g is concave (or linear) in t and
+    the minimum sits at an endpoint, finite because unbounded centers with
+    rho b >= 1 are rejected.
+    """
+    a, b = region.bound.a, region.bound.b
+    rho = region.radius_scale
+    x = np.asarray(x, dtype=float)
+    best = np.full(x.shape, np.inf)
     for p in region.centers.points:
-        min_g = min(min_g, abs(lam - p) ** 2 - region.radius_scale
-                    * (region.bound.a + region.bound.b * p * p))
+        best = np.minimum(best, np.hypot(x - p, y) ** 2 - rho * (a + b * p * p))
+    lead = 1.0 - rho * b
     for lo, hi in region.centers.intervals:
-        min_g = min(min_g, _min_g_on_interval(region, lam, lo, hi))
-    return min_g
+        for t in ([np.clip(x / lead, lo, hi)] if lead > 0.0 else [lo, hi]):
+            best = np.minimum(best, (t - x) ** 2 + y * y - rho * (a + b * t * t))
+    return best
 
 
 def disk_region_membership(region: DiskFamilyRegion, lam: complex,
@@ -432,7 +423,7 @@ def disk_region_membership(region: DiskFamilyRegion, lam: complex,
         margin = min(margin, abs(lam - p) - float(region.radius(p)))
     for lo, hi in region.centers.intervals:
         margin = min(margin, _metric_margin_on_interval(region, lam, lo, hi))
-    inside = _min_g(region, lam) <= 0.0
+    inside = bool(_min_g(region, lam.real, lam.imag) <= 0.0)
     if inside and margin > 0.0:
         margin = 0.0
     elif not inside and margin < 0.0:
@@ -510,41 +501,12 @@ def tmain_regions(a: float, b: float, tau: float, v: float) -> dict:
     return {"gamma": gamma, "worse": worse, "better": better}
 
 
-def _bisect_boundary_height(region: DiskFamilyRegion, x: float, y_hi: float) -> float:
-    """Largest y >= 0 with x + iy inside the region, via monotone bisection."""
-    lo, hi = 0.0, y_hi
-    while not not_inside(region, x, hi):
-        hi *= 2.0
-        if hi > 1e30:
-            raise ValueError("region appears unbounded in the imaginary direction")
-    tol = 1e-10 * (1.0 + math.hypot(x, hi))
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if not_inside(region, x, mid):
-            hi = mid
-        else:
-            lo = mid
-    y = 0.5 * (lo + hi)
-    return 0.0 if y <= tol else y
-
-
-def not_inside(region: DiskFamilyRegion, x: float, y: float) -> bool:
-    # decision only (no margin): the polynomial test is cheap and exact
-    return _min_g(region, complex(x, y)) > 0.0
-
-
-def _clearly_outside(region: DiskFamilyRegion, x: float) -> bool:
-    # tolerant gate for sampling: keeps boundary-exact abscissae (the
-    # region's real extremes land here with g ~ 1e-14 from rounding)
-    return _min_g(region, complex(x, 0.0)) > 1e-12 * (1.0 + abs(x)) ** 2
-
-
 def boundary_polyline(region, resolution: int = 256, re_window=None) -> list:
     """Sample the upper-half boundary of a region as a list of complex points.
 
-    Consumers mirror across the real axis for the full closed curve.  For a
-    disk-family region the height at each abscissa is found by bisection on
-    the membership margin; rectangles and hulls use their closed forms.
+    Consumers mirror across the real axis for the full closed curve.  A
+    disk-family region's height at each abscissa is its closed form
+    ``DiskFamilyRegion.height``; rectangles and hulls use theirs too.
     ``re_window`` clips unbounded regions (required implicitly: a default
     window is derived from the region scale when none is given).
     """
@@ -577,17 +539,12 @@ def boundary_polyline(region, resolution: int = 256, re_window=None) -> list:
         scale = max(scale, math.sqrt(region.radius_scale * region.bound.a), 1.0)
         xmin = max(xmin, -10.0 * scale)
         xmax = min(xmax, 10.0 * scale)
-    y_seed = float(np.sqrt(region.radius_scale
-                           * (region.bound.a + region.bound.b
-                              * max(abs(xmin), abs(xmax)) ** 2))) + 1.0
-    if xmax - xmin <= 1e-300:
-        return [complex(xmin, _bisect_boundary_height(region, xmin, y_seed))]
-    pts = []
-    for x in np.linspace(xmin, xmax, resolution):
-        if _clearly_outside(region, x):
-            continue  # gap between disconnected components
-        pts.append(complex(x, _bisect_boundary_height(region, x, y_seed)))
-    return pts
+    xs = np.linspace(xmin, xmax, resolution if xmax - xmin > 1e-300 else 1)
+    # tolerant gate: drops gaps between disconnected components but keeps
+    # boundary-exact abscissae (the region's real extremes land at g ~ 1e-14
+    # from rounding)
+    xs = xs[_min_g(region, xs) <= 1e-12 * (1.0 + np.abs(xs)) ** 2]
+    return [complex(x, y) for x, y in zip(xs, region.height(xs))]
 
 
 def region_to_json(region) -> dict:

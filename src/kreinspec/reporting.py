@@ -330,10 +330,22 @@ def matrix_to_json(m) -> dict:
 
 
 def matrix_from_json(obj) -> np.ndarray:
-    rows, cols = int(obj["rows"]), int(obj["cols"])
-    data = obj["data"]
-    if len(data) != rows * cols:
-        raise ValueError(f"matrix data length {len(data)} != rows*cols "
-                         f"{rows * cols}")
+    """Inverse of ``matrix_to_json``; a malformed object raises ValueError
+    naming its first defect."""
+    if not isinstance(obj, dict) or not {"rows", "cols", "data"} <= obj.keys():
+        raise ValueError("matrix must be an object with keys 'rows', 'cols' "
+                         "and 'data'")
+    rows, cols, data = obj["rows"], obj["cols"], obj["data"]
+    if not all(type(n) is int and n >= 0 for n in (rows, cols)):
+        raise ValueError(f"matrix rows and cols must be non-negative integers, "
+                         f"got {rows!r} and {cols!r}")
+    if not isinstance(data, list) or len(data) != rows * cols:
+        raise ValueError(f"matrix data must be a list of rows*cols = "
+                         f"{rows * cols} entries")
+    for k, z in enumerate(data):
+        if not (isinstance(z, list) and len(z) == 2 and all(
+                type(v) in (int, float) for v in z)):
+            raise ValueError(f"matrix data entry {k} is not an [re, im] pair "
+                             f"of numbers: {z!r}")
     flat = np.array([complex(re, im) for re, im in data])
     return flat.reshape(rows, cols)

@@ -10,6 +10,7 @@ involution built from the unperturbed spectral projections.
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import mpmath as mp
 import numpy as np
@@ -499,6 +500,16 @@ class ProbeFunction:
         window = math.sqrt(2.0 * (2 * k + 1)) + 12.0
         return cls(label=f"hermite({k})", f=f, fpp=fpp, window=window)
 
+    @cached_property
+    def norm(self) -> float:
+        """L2 norm of f over the window, computed once per probe."""
+        return _l2_norm(self.f, self.window)
+
+    @cached_property
+    def fpp_norm(self) -> float:
+        """L2 norm of f'' over the window, computed once per probe."""
+        return _l2_norm(self.fpp, self.window)
+
 
 def _l2_norm(func, window: float, rel_tol: float = 1e-8) -> float:
     val, err = quad(lambda x: abs(func(x)) ** 2, -window, window,
@@ -529,13 +540,11 @@ def lemma_ls_check(f: ProbeFunction, g: Potential, p: float, r: float) -> dict:
     if lhs_sq > 0 and err > 1e-8 * lhs_sq:
         raise QuadratureError(f"lhs quadrature error {err:.2e} too large")
     lhs = math.sqrt(max(lhs_sq, 0.0))
-    f_norm = _l2_norm(f.f, f.window)
-    fpp_norm = _l2_norm(f.fpp, f.window)
     if math.isinf(p):
-        rhs = f_norm * lp_norm(g, math.inf)
+        rhs = f.norm * lp_norm(g, math.inf)
     else:
         rhs = ((2.0 * r) ** (1.0 / p)
-               * (f_norm + fpp_norm / (2.0 * math.sqrt(3.0) * math.pi**2 * p * r**2))
+               * (f.norm + f.fpp_norm / (2.0 * math.sqrt(3.0) * math.pi**2 * p * r**2))
                * lp_norm(g, p))
     return {"lhs": lhs, "rhs": rhs, "holds": lhs <= rhs * (1.0 + 1e-6)}
 

@@ -153,34 +153,14 @@ def fit_relative_bound(t_op, s_op, b_grid=DEFAULT_B_GRID) -> list:
 
 
 def region_area(region: DiskFamilyRegion, nodes: int = 257) -> float:
-    """Area of a bounded disk-family region.
-
-    The height of the region above abscissa x is available in closed form
-    (the defining polynomial is quadratic in the center), so the area is a
-    single 1-D quadrature of that height profile.
-    """
+    """Area of a bounded disk-family region: a single 1-D Gauss-Legendre
+    quadrature of its closed-form height profile ``region.height``."""
     if not region.centers.bounded:
         return math.inf
-    a, b = region.bound.a, region.bound.b
-    rho = region.radius_scale
     xmin, xmax = region.real_extent
-
-    def height(x):
-        best = np.zeros_like(x)
-        for p in region.centers.points:
-            best = np.maximum(best, rho * (a + b * p * p) - (x - p) ** 2)
-        for lo, hi in region.centers.intervals:
-            lead = 1.0 - rho * b
-            tc = x / lead if lead > 0 else np.full_like(x, hi)
-            tc = np.clip(tc, lo, hi)
-            best = np.maximum(best, rho * (a + b * tc * tc) - (x - tc) ** 2)
-            if lead <= 0:
-                best = np.maximum(best, rho * (a + b * lo * lo) - (x - lo) ** 2)
-        return np.sqrt(np.maximum(best, 0.0))
-
     xs, ws = _leggauss_cached(nodes)
     mid, half = 0.5 * (xmax + xmin), 0.5 * (xmax - xmin)
-    return float(2.0 * half * np.sum(ws * height(mid + half * xs)))
+    return float(2.0 * half * np.sum(ws * region.height(mid + half * xs)))
 
 
 @lru_cache(maxsize=16)
@@ -412,8 +392,7 @@ def verify_tmain(problem: KreinPerturbationProblem,
     j_sig = problem.signature
 
     w_op = math.sqrt((1.0 + tau) * tau) * problem.v
-    curve = [(b, 0.5 * min_relative_bound(w_op, problem.a0, b))
-             for b in DEFAULT_B_GRID]
+    curve = [(b, 0.5 * a) for b, a in fit_relative_bound(w_op, problem.a0)]
 
     report = VerificationReport(
         instance={"dims": [problem.dim],
@@ -500,9 +479,10 @@ def resolvent_order_check(block: BlockOperator, samples: int = 1000,
     gamma = max(float(np.max(d_minus)), float(-np.min(d_plus)), 0.0)
     m = block.coupling
     best = None
-    for b in ORDER_B_GRID:
-        a = max(min_relative_bound(m, block.s_minus, b),
-                min_relative_bound(m.conj().T, block.s_plus, b))
+    for (b, a_minus), (_, a_plus) in zip(
+            fit_relative_bound(m, block.s_minus, ORDER_B_GRID),
+            fit_relative_bound(m.conj().T, block.s_plus, ORDER_B_GRID)):
+        a = max(a_minus, a_plus)
         thr = smallerb_threshold(RelBound(a, b), gamma)
         if best is None or thr < best[0]:
             best = (thr, a, b)

@@ -154,6 +154,24 @@ class TestPerturbCommand:
         assert code == 2
         assert repr(key) in capsys.readouterr().err
 
+    @pytest.mark.parametrize("a0, defect", [
+        ({"data": []}, "'rows'"),
+        ([[1.0, 0.0], [0.0, 1.0]], "'rows'"),
+        ({"rows": 2, "cols": 1, "data": [1.0, 2.0]}, "entry 0"),
+        ({"rows": 2, "cols": 1, "data": [[1.0, 0.0]]}, "2 entries"),
+    ], ids=["no-rows", "nested-list", "plain-numbers", "short-data"])
+    def test_malformed_matrix_exit_two(self, tmp_path, capsys, a0, defect):
+        payload = {"signature": [1, -1], "A0": a0,
+                   "V": matrix_to_json(np.zeros((2, 2)))}
+        path = tmp_path / "problem.json"
+        path.write_text(json.dumps(payload))
+        code = run(["perturb", "--problem", str(path),
+                    "--report", str(tmp_path / "r.json")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "matrix" in err and defect in err
+        assert "Traceback" not in err
+
     def test_parallel_jobs_match_serial(self, tmp_path):
         r1, r2 = tmp_path / "serial.json", tmp_path / "par.json"
         base = ["perturb", "--trials", "6", "--max-dim", "8", "--seed", "5"]

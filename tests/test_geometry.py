@@ -331,6 +331,23 @@ class TestDiskRegionMembership:
 
 def _random_region(rng):
     bound = RelBound(rng.uniform(0, 8), rng.uniform(0, 0.9))
+    centers = _random_centers(rng)
+    rho = rng.uniform(0.3, 1.4)
+    if rho * bound.b >= 0.98:
+        rho = 0.9 / max(bound.b, 1e-9)
+    return DiskFamilyRegion(bound, centers, radius_scale=rho)
+
+
+def _concave_region(rng):
+    """Bounded centers with rho b in [1, 3]: g is concave in the center."""
+    bound = RelBound(rng.uniform(0, 8), rng.uniform(0.05, 0.9))
+    centers = _random_centers(rng)
+    return DiskFamilyRegion(bound, centers,
+                            radius_scale=rng.uniform(1.0, 3.0) / bound.b)
+
+
+def _random_centers(rng):
+    """An interval, a few points, or an interval plus two points; all bounded."""
     style = rng.integers(0, 3)
     if style == 0:
         lo = rng.uniform(-8, 4)
@@ -342,10 +359,51 @@ def _random_region(rng):
         centers = SpectrumModel(
             intervals=((lo, lo + rng.uniform(0.5, 4)),),
             points=tuple(rng.uniform(4, 9, size=2)))
-    rho = rng.uniform(0.3, 1.4)
-    if rho * bound.b >= 0.98:
-        rho = 0.9 / max(bound.b, 1e-9)
-    return DiskFamilyRegion(bound, centers, radius_scale=rho)
+    return centers
+
+
+class TestConcaveBranch:
+    """rho b >= 1 with bounded centers: g and t -+ r(t) are concave in the
+    center, so their extrema over an interval sit at its endpoints."""
+
+    def test_membership_agrees_with_grid_oracle(self):
+        rng = np.random.default_rng(41)
+        inside = 0
+        for _ in range(300):
+            region = _concave_region(rng)
+            span = 2.0 * float(region.radius(region.centers.max_abs)) \
+                + region.centers.max_abs + 1.0
+            lam = complex(rng.uniform(-span, span), rng.uniform(-span, span))
+            oracle = oracle_membership(region, lam)
+            assert oracle is not None  # no refinement gap when concave
+            assert disk_region_membership(region, lam).inside == oracle
+            inside += oracle
+        assert 30 < inside < 270
+
+    def test_real_extent_against_dense_scan(self):
+        rng = np.random.default_rng(43)
+        for _ in range(200):
+            region = _concave_region(rng)
+            ts = np.concatenate([np.array(region.centers.points)]
+                                + [np.linspace(lo, hi, 20001)
+                                   for lo, hi in region.centers.intervals])
+            xmin, xmax = region.real_extent
+            scan_min = float(np.min(ts - region.radius(ts)))
+            scan_max = float(np.max(ts + region.radius(ts)))
+            assert xmin == pytest.approx(scan_min, rel=1e-14, abs=1e-12)
+            assert xmax == pytest.approx(scan_max, rel=1e-14, abs=1e-12)
+
+    def test_polyline_points_on_boundary(self):
+        rng = np.random.default_rng(47)
+        for _ in range(40):
+            region = _concave_region(rng)
+            pts = boundary_polyline(region, 64)
+            assert len(pts) >= 16
+            for z in pts:
+                step = 1e-6 * (1.0 + abs(z))
+                if z.imag > step:
+                    assert oracle_membership(region, z - 1j * step)
+                assert not oracle_membership(region, z + 1j * step)
 
 
 class TestHull:
@@ -494,6 +552,39 @@ class TestBoundaryPolyline:
     def test_resolution_validated(self):
         with pytest.raises(ValueError):
             boundary_polyline(SLBox(1, 1), 8)
+
+    def test_heights_match_closed_form(self):
+        region = DiskFamilyRegion(RelBound(10, 0.4),
+                                  SpectrumModel.interval(-10, 10))
+        pts = np.array(boundary_polyline(region, 512))
+        x, y = pts.real, pts.imag
+        t = np.clip(x / 0.6, -10, 10)
+        exact = np.sqrt(np.maximum(10 + 0.4 * t * t - (x - t) ** 2, 0.0))
+        high = y > 1e-3
+        assert np.count_nonzero(high) > 500
+        np.testing.assert_allclose(y[high], exact[high], rtol=1e-12, atol=0)
+
+    def test_height_matches_scalar_reference(self):
+        # per-abscissa loop over the candidate centers: points, the clamped
+        # vertex of a convex g, both endpoints of a concave one
+        rng = np.random.default_rng(53)
+        for k in range(200):
+            region = (_concave_region if k % 2 else _random_region)(rng)
+            rho, a, b = region.radius_scale, region.bound.a, region.bound.b
+            lead = 1.0 - rho * b
+            xs = np.linspace(-25.0, 25.0, 101)
+            ref = []
+            for x in xs.tolist():
+                best = 0.0
+                for p in region.centers.points:
+                    best = max(best, rho * (a + b * p * p) - (x - p) ** 2)
+                for lo, hi in region.centers.intervals:
+                    for t in ([min(max(x / lead, lo), hi)] if lead > 0
+                              else [lo, hi]):
+                        best = max(best, rho * (a + b * t * t) - (t - x) ** 2)
+                ref.append(best)
+            np.testing.assert_allclose(region.height(xs) ** 2, ref, rtol=1e-12,
+                                       atol=1e-12)
 
     def test_boundary_points_have_small_margin(self):
         region = DiskFamilyRegion(RelBound(4, 0.3),

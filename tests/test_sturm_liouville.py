@@ -386,6 +386,22 @@ class TestLemmaChecker:
         norm_f = (math.pi / 2) ** 0.25
         assert out["rhs"] == pytest.approx(2.0 * norm_f, rel=1e-8)
 
+    def test_probe_norms_computed_once(self, monkeypatch):
+        f = ProbeFunction.gaussian(alpha=0.7, center=0.3)
+        g = Potential(kind="gaussian", depth=1.0, width=2.0)
+        first = lemma_ls_check(f, g, p=3.0, r=0.5)
+        calls = []
+
+        def counting_quad(*args, **kwargs):
+            calls.append(1)
+            return quad(*args, **kwargs)
+
+        monkeypatch.setattr(sturm_liouville, "quad", counting_quad)
+        assert lemma_ls_check(f, g, p=3.0, r=0.5) == first
+        assert len(calls) == 1  # the left side only; both norms are cached
+        assert f.norm == sturm_liouville._l2_norm(f.f, f.window)
+        assert f.fpp_norm == sturm_liouville._l2_norm(f.fpp, f.window)
+
     def test_derivatives_are_consistent(self):
         # finite differences validate the declared second derivatives
         for tf in (ProbeFunction.gaussian(alpha=0.7, center=0.3),
