@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .geometry import DiskFamilyRegion, RelBound, SpectrumModel, \
-    boundary_polyline, polyline_to_csv, prior_hull_height, region_to_json
+    boundary_polyline, prior_hull_height, region_to_json
 from .operators import KreinPerturbationProblem
 from .reporting import ConfigError, RunConfig, RunRecord, artifact_version, \
     finalize_record, load_config, matrix_from_json, normalize_config, \
@@ -99,8 +99,7 @@ def cmd_region(args) -> int:
         shape = DiskFamilyRegion(RelBound(p["a"], p["b"]), centers,
                                  radius_scale=p["radius_scale"])
     pts = boundary_polyline(shape, p["resolution"], re_window=window)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    out.write_text(polyline_to_csv(pts), encoding="utf-8")
+    write_csv(out, ["re", "im"], [(z.real, z.imag) for z in pts])
     record.register(out)
     if p["kind"] != "hull":
         region_path = out.with_name(out.stem + "_region.json")
@@ -108,9 +107,8 @@ def cmd_region(args) -> int:
         record.register(region_path)
     elif p["overlay_prior"]:
         xs = np.array([z.real for z in pts])
-        prior = [complex(x, y) for x, y in zip(xs, prior_hull_height(shape, xs))]
         prior_path = out.with_name(out.stem + "_prior.csv")
-        prior_path.write_text(polyline_to_csv(prior), encoding="utf-8")
+        write_csv(prior_path, ["re", "im"], zip(xs, prior_hull_height(shape, xs)))
         record.register(prior_path)
     finalize_record(record, out.parent)
     return EXIT_OK

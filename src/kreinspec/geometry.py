@@ -46,7 +46,6 @@ __all__ = [
     "tmain_regions",
     "boundary_polyline",
     "region_to_json",
-    "polyline_to_csv",
 ]
 
 # b is rejected this close to 1: all enclosure formulas degenerate there.
@@ -508,7 +507,8 @@ def boundary_polyline(region, resolution: int = 256, re_window=None) -> list:
     disk-family region's height at each abscissa is its closed form
     ``DiskFamilyRegion.height``; rectangles and hulls use theirs too.
     ``re_window`` clips unbounded regions (required implicitly: a default
-    window is derived from the region scale when none is given).
+    window is derived from the region scale when none is given); a window
+    holding no abscissa of a disk-family region raises ``ValueError``.
     """
     if resolution < 16:
         raise ValueError("resolution >= 16 required")
@@ -544,6 +544,8 @@ def boundary_polyline(region, resolution: int = 256, re_window=None) -> list:
     # boundary-exact abscissae (the region's real extremes land at g ~ 1e-14
     # from rounding)
     xs = xs[_min_g(region, xs) <= 1e-12 * (1.0 + np.abs(xs)) ** 2]
+    if not xs.size:
+        raise ValueError(f"re_window {re_window} misses the region")
     return [complex(x, y) for x, y in zip(xs, region.height(xs))]
 
 
@@ -583,12 +585,3 @@ def region_to_json(region) -> dict:
                 "imHalfHeight": region.im_half_height,
                 "reHalfWidth": region.re_half_width}
     raise TypeError(f"cannot serialize {type(region).__name__}")
-
-
-def polyline_to_csv(points) -> str:
-    """CSV text with header ``re,im``, one sampled point per line."""
-    lines = ["re,im"]
-    for z in points:
-        z = complex(z)
-        lines.append(f"{z.real!r},{z.imag!r}")
-    return "\n".join(lines) + "\n"

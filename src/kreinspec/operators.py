@@ -92,52 +92,58 @@ def block_signature(block: BlockOperator) -> np.ndarray:
     return np.concatenate([np.ones(np_), -np.ones(nm)])
 
 
-def resolvent_factor_norm(t_op, s_op, lam: complex) -> float:
-    """Largest singular value of T (S - lam)^{-1} for Hermitian S.
-
-    Rejects lam closer than 1e-12 * norm(S) to the spectrum of S.
-    """
+def resolvent_factor_norm(t_op, s_op, lam):
+    """Largest singular value of T (S - lam)^{-1} for Hermitian S = U diag(d) U*,
+    taken as that of (T U) / (d - lam): one stacked SVD over an array of lam
+    (a float for a scalar lam).  Rejects lam within 1e-12 * norm(S) of S's spectrum."""
     t_op = _as_matrix(t_op, "T")
     s_op = _as_matrix(s_op, "S")
     _require_hermitian(s_op, "S")
-    lam = complex(lam)
-    evals = np.linalg.eigvalsh(s_op)
-    scale = max(np.max(np.abs(evals)), 1.0)
-    if np.min(np.abs(evals - lam)) <= 1e-12 * scale:
-        raise ValueError(f"lambda = {lam} is in (or too close to) the spectrum of S")
-    x = np.linalg.solve((s_op - lam * np.eye(s_op.shape[0])).conj().T,
-                        t_op.conj().T).conj().T
-    return float(np.linalg.norm(x, 2))
+    if t_op.shape[1] != s_op.shape[0]:
+        raise ValueError(f"T has {t_op.shape[1]} columns but S has size {len(s_op)}")
+    lam = np.asarray(lam, dtype=complex)
+    d, u = np.linalg.eigh(s_op)
+    shifted = d - lam[..., None]
+    near = np.any(np.abs(shifted) <= 1e-12 * max(np.max(np.abs(d)), 1.0), axis=-1)
+    if np.any(near):
+        raise ValueError(f"lambda = {lam[near].flat[0]} is in (or too close to) "
+                         "the spectrum of S")
+    norms = np.linalg.svd((t_op @ u) / shifted[..., None, :], compute_uv=False)
+    return float(norms[0]) if lam.ndim == 0 else norms[..., 0]
 
 
-def resolvent_norm(a_op, lam: complex) -> float:
-    """norm of (A - lam)^{-1} = 1 / sigma_min(A - lam), for any square A."""
+def resolvent_norm(a_op, lam):
+    """norm((A - lam)^{-1}) = 1 / sigma_min(A - lam) for square A, stacked over lam."""
     a_op = _as_matrix(a_op, "A")
-    shifted = a_op - complex(lam) * np.eye(a_op.shape[0])
-    smin = np.linalg.svd(shifted, compute_uv=False)[-1]
-    if smin == 0.0:
-        raise ValueError(f"lambda = {lam} is an eigenvalue")
-    return float(1.0 / smin)
+    lam = np.asarray(lam, dtype=complex)
+    shifted = lam[..., None, None] * np.eye(a_op.shape[0])
+    np.subtract(a_op, shifted, out=shifted)  # A - lam, one stack in memory
+    smin = np.linalg.svd(shifted, compute_uv=False)[..., -1]
+    if np.any(smin == 0.0):
+        raise ValueError(f"lambda = {lam[smin == 0.0].flat[0]} is an eigenvalue")
+    return float(1.0 / smin) if lam.ndim == 0 else 1.0 / smin
 
 
-def k_set_membership(t_op, s_op, lam: complex) -> bool:
-    """Whether norm(T (S - lam)^{-1}) >= 1, up to a 1e-10 decision slack."""
+def k_set_membership(t_op, s_op, lam):
+    """Whether norm(T (S - lam)^{-1}) >= 1 (per lam), up to a 1e-10 decision slack."""
     return resolvent_factor_norm(t_op, s_op, lam) >= 1.0 - 1e-10
 
 
-def min_relative_bound(t_op, s_op, b: float) -> float:
-    """Least a with norm(Tf)^2 <= a norm(f)^2 + b norm(Sf)^2 for all f.
-
-    Equals max(0, largest eigenvalue of T*T - b S*S).
-    """
-    if not 0.0 <= b < 1.0:
+def min_relative_bound(t_op, s_op, b):
+    """Least a with norm(Tf)^2 <= a norm(f)^2 + b norm(Sf)^2 for all f:
+    max(0, largest eigenvalue of T*T - b S*S), one stacked eigvalsh over an
+    array of b (a float for a scalar b)."""
+    b = np.asarray(b, dtype=float)
+    if not np.all((0.0 <= b) & (b < 1.0)):
         raise ValueError(f"b in [0, 1) required, got {b}")
     t_op = _as_matrix(t_op, "T")
     s_op = _as_matrix(s_op, "S")
     if t_op.shape[1] != s_op.shape[1]:
         raise ValueError("T and S must act on the same space")
-    gram = t_op.conj().T @ t_op - b * (s_op.conj().T @ s_op)
-    return float(max(0.0, np.linalg.eigvalsh(gram)[-1]))
+    gram = t_op.conj().T @ t_op - b[..., None, None] * (s_op.conj().T @ s_op)
+    top = np.linalg.eigvalsh(gram)[..., -1]
+    top = np.where(top > 0.0, top, 0.0)  # max(0, top), NaN included
+    return float(top) if b.ndim == 0 else top
 
 
 @dataclass(frozen=True)

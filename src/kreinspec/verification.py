@@ -17,7 +17,8 @@ import numpy as np
 from .geometry import DiskFamilyRegion, RelBound, SpectrumModel, \
     disk_region_membership, region_to_json, smallerb_threshold, tmain_regions
 from .operators import BlockOperator, KreinPerturbationProblem, assemble_block, \
-    block_signature, min_relative_bound, resolvent_norm, spectral_projections
+    block_signature, k_set_membership, min_relative_bound, \
+    resolvent_factor_norm, resolvent_norm, spectral_projections
 
 __all__ = [
     "HypothesisUnmetError",
@@ -149,7 +150,7 @@ def trial_seeds(root_seed: int, trials: int) -> list:
 
 def fit_relative_bound(t_op, s_op, b_grid=DEFAULT_B_GRID) -> list:
     """The curve b -> least admissible a over a grid of b values."""
-    return [(b, min_relative_bound(t_op, s_op, b)) for b in b_grid]
+    return list(zip(b_grid, min_relative_bound(t_op, s_op, b_grid).tolist()))
 
 
 def region_area(region: DiskFamilyRegion, nodes: int = 257) -> float:
@@ -281,8 +282,8 @@ def verify_block_theorem(block: BlockOperator, lambda_samples: int = 1000,
     rng = np.random.default_rng(seed)
     full = assemble_block(block)
     j_sig = block_signature(block)
-    d_plus, u_plus = np.linalg.eigh(block.s_plus)
-    d_minus, u_minus = np.linalg.eigh(block.s_minus)
+    d_plus = np.linalg.eigh(block.s_plus)[0]
+    d_minus = np.linalg.eigh(block.s_minus)[0]
     m = block.coupling
 
     curve_minus = fit_relative_bound(m, block.s_minus)
@@ -294,16 +295,6 @@ def verify_block_theorem(block: BlockOperator, lambda_samples: int = 1000,
                                     SpectrumModel.from_points(d_minus))
     region_plus = DiskFamilyRegion(RelBound(a_plus, b_plus),
                                    SpectrumModel.from_points(d_plus))
-
-    # column-transformed couplings: norm(M (S- - lam)^{-1}) via scaled svd
-    m_minus = m @ u_minus
-    m_plus = m.conj().T @ u_plus
-
-    def factor_norm_minus(lam):
-        return float(np.linalg.norm(m_minus / (d_minus - lam), 2))
-
-    def factor_norm_plus(lam):
-        return float(np.linalg.norm(m_plus / (d_plus - lam), 2))
 
     spec = classify_spectrum(full)
     scale = spec.scale
@@ -317,58 +308,61 @@ def verify_block_theorem(block: BlockOperator, lambda_samples: int = 1000,
         bounds={"a_minus": a_minus, "b_minus": b_minus,
                 "a_plus": a_plus, "b_plus": b_plus})
 
+    # K-set membership per side (factor T, block S, spectrum d) and eigenvalue,
+    # real ones at their real part; within 1e-8 * scale of d counts as inside
+    sides = ((m, block.s_minus, d_minus), (m.conj().T, block.s_plus, d_plus))
+    probes = np.where(spec.nonreal, spec.values, spec.values.real)
+    in_k = []
+    for t_op, s_op, d_side in sides:
+        inside = np.min(np.abs(d_side - probes[:, None]), axis=1) <= 1e-8 * scale
+        inside[~inside] = k_set_membership(t_op, s_op, probes[~inside])
+        in_k.append(inside.tolist())
+    in_k_minus, in_k_plus = in_k
+
     for idx, lam in enumerate(spec.values):
         lam = complex(lam)
         if spec.nonreal[idx]:
-            near_minus = float(np.min(np.abs(d_minus - lam))) <= 1e-8 * scale
-            near_plus = float(np.min(np.abs(d_plus - lam))) <= 1e-8 * scale
-            in_k_minus = near_minus or factor_norm_minus(lam) >= 1.0 - 1e-10
-            in_k_plus = near_plus or factor_norm_plus(lam) >= 1.0 - 1e-10
             mem_minus = disk_region_membership(region_minus, lam)
             mem_plus = disk_region_membership(region_plus, lam)
             margin = max(mem_minus.margin, mem_plus.margin)
             # slack absorbs the eigensolver's own error at tangency cases
             # (e.g. 1x1 blocks put non-real eigenvalues exactly on the rim)
+            contained = in_k_minus[idx] and in_k_plus[idx] and margin <= 1e-8 * scale
             report.add_nonreal(
-                lam, in_k_minus and in_k_plus and margin <= 1e-8 * scale, margin,
+                lam, contained, margin,
                 {"lambda": [lam.real, lam.imag],
-                 "k_minus": in_k_minus, "k_plus": in_k_plus,
+                 "k_minus": in_k_minus[idx], "k_plus": in_k_plus[idx],
                  "disks_minus": mem_minus.inside, "disks_plus": mem_plus.inside})
             continue
 
-        lam_r = lam.real
         sign = spec.sign(idx, j_sig)
         report.add_real(lam, sign)
-        for (d_side, factor, want_pos) in (
-                (d_minus, factor_norm_minus, True),
-                (d_plus, factor_norm_plus, False)):
-            if float(np.min(np.abs(d_side - lam_r))) <= 1e-8 * scale:
-                continue  # inside the side's spectrum: no claim
-            if factor(lam_r) >= 1.0 - 1e-10:
-                continue  # inside the K set: no claim
+        for inside, want_pos in ((in_k_minus[idx], True), (in_k_plus[idx], False)):
+            if inside:
+                continue  # in the side's spectrum or K set: no claim
             if spec.clustered[idx]:
-                report.add_indeterminate(lam_r, "clustered eigenvalue")
+                report.add_indeterminate(lam.real, "clustered eigenvalue")
             else:
-                report.check_sign(lam_r, sign, want_pos)
+                report.check_sign(lam.real, sign, want_pos)
 
-    # sampled resolvent bound
-    checked = 0
-    for _ in range(lambda_samples):
-        x = rng.uniform(-2.0 * scale, 2.0 * scale)
-        y = rng.uniform(1e-3 * scale, 2.0 * scale) * rng.choice([-1.0, 1.0])
-        lam = complex(x, y)
-        res = None
-        for factor in (factor_norm_minus, factor_norm_plus):
-            nu = factor(lam)
-            if nu < 1.0 - 1e-9:
-                if res is None:
-                    res = resolvent_norm(full, lam)
-                cap = (1.0 + nu + nu * nu) / (abs(y) * (1.0 - nu * nu))
-                checked += 1
-                if res > cap * (1.0 + 1e-8) + 1e-12:
-                    report.resolvent_check_failures.append(
-                        {"lambda": [x, y], "norm": res, "cap": cap})
-    report.checks["resolvent"] = {"sampled": lambda_samples, "applicable": checked,
+    # resolvent bound where a factor norm nu < 1; x, y, sign drawn per sample
+    lams = np.array([complex(rng.uniform(-2.0 * scale, 2.0 * scale),
+                             rng.uniform(1e-3 * scale, 2.0 * scale)
+                             * rng.choice([-1.0, 1.0]))
+                     for _ in range(lambda_samples)])
+    nu = np.stack([resolvent_factor_norm(t, s, lams) for t, s, _ in sides], axis=1)
+    applicable = nu < 1.0 - 1e-9
+    res = np.zeros(lambda_samples)
+    hit = applicable.any(axis=1)
+    res[hit] = resolvent_norm(full, lams[hit])
+    with np.errstate(divide="ignore"):
+        cap = (1.0 + nu + nu * nu) / (np.abs(lams.imag)[:, None] * (1.0 - nu * nu))
+    failed = applicable & (res[:, None] > cap * (1.0 + 1e-8) + 1e-12)
+    report.resolvent_check_failures.extend(  # in (sample, side) order
+        {"lambda": [lams[k].real, lams[k].imag], "norm": float(res[k]),
+         "cap": float(cap[k, side])} for k, side in zip(*np.nonzero(failed)))
+    report.checks["resolvent"] = {"sampled": lambda_samples,
+                                  "applicable": int(applicable.sum()),
                                   "failures": len(report.resolvent_check_failures)}
     report.summarize_sign_checks()
     return report
@@ -488,21 +482,20 @@ def resolvent_order_check(block: BlockOperator, samples: int = 1000,
             best = (thr, a, b)
     thr, a_sel, b_sel = best
 
-    failures = []
-    m_growth = 0.0
+    pairs = []  # (lam beyond the threshold, inner point on the same ray)
     for _ in range(samples):
         radius = thr * rng.uniform(1.0 + 1e-9, 4.0)
         theta = rng.uniform(0.05, math.pi - 0.05) * rng.choice([-1.0, 1.0])
-        lam = radius * complex(math.cos(theta), math.sin(theta))
-        res = resolvent_norm(full, lam)
-        cap = 3.0 / ((1.0 - b_sel) * abs(lam.imag))
-        if res > cap * (1.0 + 1e-8):
-            failures.append({"lambda": [lam.real, lam.imag], "norm": res, "cap": cap})
-        inner = rng.uniform(0.1, 1.0) * thr * complex(
-            math.cos(theta), math.sin(theta))
-        if abs(inner.imag) > 1e-6:
-            m_growth = max(m_growth, resolvent_norm(full, inner)
-                           * inner.imag**2 / (1.0 + abs(inner)) ** 2)
+        unit = complex(math.cos(theta), math.sin(theta))
+        pairs.append((radius * unit, rng.uniform(0.1, 1.0) * thr * unit))
+    lams, inners = np.array(pairs, dtype=complex).reshape(-1, 2).T
+    res = resolvent_norm(full, lams)
+    cap = 3.0 / ((1.0 - b_sel) * np.abs(lams.imag))
+    failures = [{"lambda": [lam.real, lam.imag], "norm": float(r), "cap": float(c)}
+                for lam, r, c in zip(lams, res, cap) if r > c * (1.0 + 1e-8)]
+    inners = inners[np.abs(inners.imag) > 1e-6]
+    m_growth = float(np.max(resolvent_norm(full, inners) * inners.imag**2
+                            / (1.0 + np.abs(inners)) ** 2, initial=0.0))
     return {"threshold": thr, "a": a_sel, "b": b_sel, "gamma": gamma,
             "order1_failures": failures, "growth_constant": m_growth,
             "samples": samples}

@@ -55,6 +55,26 @@ class TestRegionCommand:
         lines = out.read_text().strip().splitlines()
         assert lines[1:] == ["0.0,0.0"]
 
+    def test_csv_bytes(self, tmp_path):
+        # repr floats, '.' separator, LF endings, one boundary point per line
+        out = tmp_path / "hull.csv"
+        code = run(["region", "--kind", "hull", "--a", "1.5625", "--b", "0",
+                    "--re-min", "-1", "--re-max", "0.5", "--resolution", "16",
+                    "--overlay-prior", "--out", str(out)])
+        assert code == 0
+        expected = "re,im\n" + "".join(
+            f"{x!r},1.25\n" for x in np.linspace(-1.0, 0.5, 16).tolist())
+        assert out.read_bytes() == expected.encode()
+        assert (tmp_path / "hull_prior.csv").read_bytes() == expected.encode()
+
+    def test_window_missing_region_exit_two(self, tmp_path, capsys):
+        out = tmp_path / "b.csv"
+        code = run(["region", "--kind", "bone", "--re-min", "100",
+                    "--re-max", "200", "--out", str(out)])
+        assert code == 2
+        assert "misses the region" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_invalid_parameters_exit_two(self, tmp_path, capsys):
         code = run(["region", "--kind", "bone", "--a", "-1",
                     "--out", str(tmp_path / "x.csv")])

@@ -16,7 +16,6 @@ from kreinspec.geometry import (
     hull_tangency,
     phi,
     phi_extrema,
-    polyline_to_csv,
     prior_hull_membership,
     region_to_json,
     smallerb_threshold,
@@ -539,6 +538,16 @@ class TestBoundaryPolyline:
                     best = max(best, y)
         assert best <= top + 0.1
 
+    def test_window_missing_region_raises(self):
+        region = DiskFamilyRegion(RelBound(10, 0.4),
+                                  SpectrumModel.interval(-10, 10))
+        with pytest.raises(ValueError, match="misses the region"):
+            boundary_polyline(region, 64, re_window=(100.0, 200.0))
+        # a window between two disconnected components holds no abscissa
+        apart = DiskFamilyRegion(RelBound(1, 0), SpectrumModel.from_points([-10, 10]))
+        with pytest.raises(ValueError, match="misses the region"):
+            boundary_polyline(apart, 64, re_window=(-5.0, 5.0))
+
     def test_hull_boundary_height_on_axis(self):
         pts = boundary_polyline(RelBound(3, 0.9), 257, re_window=(-5, 5))
         at_zero = min(pts, key=lambda z: abs(z.real))
@@ -610,10 +619,6 @@ class TestSerialization:
         obj = region_to_json(region)
         assert obj["centers"]["intervals"] == [["-inf", 10.0]]
         assert obj["gamma"] is None
-
-    def test_polyline_csv_format(self):
-        text = polyline_to_csv([complex(0.5, 1.25), complex(-1, 0)])
-        assert text == "re,im\n0.5,1.25\n-1.0,0.0\n"
 
 
 class TestSpectrumModel:

@@ -298,6 +298,79 @@ class TestRenormCheck:
                                 rng=np.random.default_rng(1000 + seed))
 
 
+class TestVectorized:
+    """An array of lam or b gives the per-element scalar results bit for bit."""
+
+    @staticmethod
+    def instance(seed, p=5, n=6):
+        rng = np.random.default_rng(seed)
+        t = rng.standard_normal((p, n)) + 1j * rng.standard_normal((p, n))
+        t *= 1.5 / np.linalg.norm(t, 2)
+        s = random_hermitian(rng, n, 4.0)
+        lams = rng.uniform(-6, 6, 40) + 1j * rng.uniform(-3, 3, 40)
+        lams[:8] = lams[:8].real + 0.25  # real lam off the spectrum
+        return t, s, lams
+
+    def test_factor_norm_and_k_set_match_scalar_calls(self):
+        for seed in range(5):
+            t, s, lams = self.instance(seed)
+            norms = resolvent_factor_norm(t, s, lams)
+            member = k_set_membership(t, s, lams)
+            assert norms.shape == member.shape == lams.shape
+            for lam, nu, inside in zip(lams, norms, member):
+                assert resolvent_factor_norm(t, s, lam) == nu
+                assert k_set_membership(t, s, lam) == inside
+            assert 0 < member.sum() < lams.size
+
+    def test_resolvent_norm_matches_scalar_calls(self):
+        for seed in range(5):
+            t, s, lams = self.instance(seed, p=6)
+            a = s + t
+            norms = resolvent_norm(a, lams)
+            assert norms.shape == lams.shape
+            for lam, value in zip(lams, norms):
+                assert resolvent_norm(a, lam) == value
+
+    def test_min_relative_bound_matches_scalar_calls(self):
+        for seed in range(5):
+            t, s, _ = self.instance(seed, p=6)
+            bs = np.linspace(0.0, 0.99, 100)
+            values = min_relative_bound(t, s, bs)
+            assert values.shape == bs.shape
+            for b, a in zip(bs, values):
+                assert min_relative_bound(t, s, float(b)) == a
+
+    def test_scalar_calls_return_floats(self):
+        t, s, lams = self.instance(0, p=6)
+        assert type(resolvent_factor_norm(t, s, lams[9])) is float
+        assert type(resolvent_norm(s + t, lams[9])) is float
+        assert type(min_relative_bound(t, s, 0.5)) is float
+
+    def test_empty_arrays(self):
+        t, s, _ = self.instance(0)
+        assert resolvent_factor_norm(t, s, np.array([])).shape == (0,)
+        assert resolvent_norm(s, np.array([])).shape == (0,)
+        assert min_relative_bound(t, s, np.array([])).shape == (0,)
+
+    def test_one_b_outside_range_rejects_the_array(self):
+        t, s, _ = self.instance(1)
+        for bad in (1.0, -0.1, np.nan):
+            with pytest.raises(ValueError, match=r"\[0, 1\)"):
+                min_relative_bound(t, s, np.array([0.0, 0.5, bad, 0.2]))
+
+    def test_one_lam_on_spectrum_rejects_the_array(self):
+        t, s, lams = self.instance(2)
+        lams[17] = np.linalg.eigvalsh(s)[3]
+        with pytest.raises(ValueError, match="spectrum of S"):
+            resolvent_factor_norm(t, s, lams)
+        with pytest.raises(ValueError, match="spectrum of S"):
+            k_set_membership(t, s, lams)
+
+    def test_shape_mismatch_named(self):
+        with pytest.raises(ValueError, match="T has 3 columns but S has size 2"):
+            resolvent_factor_norm(np.ones((2, 3)), np.eye(2), 1j)
+
+
 class TestResolventNorm:
     def test_closed_form_two_by_two(self):
         s = np.array([[0.0, 1.0], [-1.0, 0.0]])

@@ -5,9 +5,11 @@ import pytest
 
 from kreinspec.geometry import RelBound, SpectrumModel, DiskFamilyRegion, \
     disk_region_membership
+from kreinspec import operators, verification
 from kreinspec.operators import BlockOperator, KreinPerturbationProblem, \
-    assemble_block, k_set_membership, min_relative_bound
+    assemble_block, k_set_membership, min_relative_bound, resolvent_factor_norm
 from kreinspec.verification import (
+    classify_spectrum,
     fit_relative_bound,
     random_block_operator,
     random_krein_problem,
@@ -211,6 +213,58 @@ class TestVerifyTmain:
                 assert report.checks["regions"]["worse"]["kind"] == "disk-family"
                 return
         pytest.skip("no indefinite instance found")
+
+
+class TestResolventSampler:
+    """verify_block_theorem's resolvent sampling replayed with scalar calls:
+    the same draws (x, y, sign per sample), the same applicable count and
+    the same failures in (sample, side) order."""
+
+    @staticmethod
+    def replay(block, samples, seed, norm):
+        full = assemble_block(block)
+        scale = classify_spectrum(full).scale
+        rng = np.random.default_rng(seed)
+        applicable, failures = 0, []
+        for _ in range(samples):
+            x = rng.uniform(-2.0 * scale, 2.0 * scale)
+            y = rng.uniform(1e-3 * scale, 2.0 * scale) * rng.choice([-1.0, 1.0])
+            lam = complex(x, y)
+            for t_op, s_op in ((block.coupling, block.s_minus),
+                               (block.coupling.conj().T, block.s_plus)):
+                nu = resolvent_factor_norm(t_op, s_op, lam)
+                if nu < 1.0 - 1e-9:
+                    applicable += 1
+                    res = norm(full, lam)
+                    cap = (1.0 + nu + nu * nu) / (abs(y) * (1.0 - nu * nu))
+                    if res > cap * (1.0 + 1e-8) + 1e-12:
+                        failures.append({"lambda": [x, y], "norm": res, "cap": cap})
+        return applicable, failures
+
+    def test_matches_scalar_replay(self):
+        for seed in trial_seeds(5, 4):
+            block = random_block_operator(seed, max_dim=8)
+            report = verify_block_theorem(block, lambda_samples=300, seed=seed)
+            applicable, failures = self.replay(block, 300, seed,
+                                               operators.resolvent_norm)
+            assert report.checks["resolvent"]["applicable"] == applicable > 0
+            assert report.resolvent_check_failures == failures == []
+
+    def test_failures_listed_in_sample_and_side_order(self, monkeypatch):
+        # an inflated resolvent norm makes part of the samples fail
+        def inflated(a_op, lam):
+            return 3.0 * operators.resolvent_norm(a_op, lam)
+
+        monkeypatch.setattr(verification, "resolvent_norm", inflated)
+        listed = 0
+        for seed in trial_seeds(6, 4):
+            block = random_block_operator(seed, max_dim=8)
+            report = verify_block_theorem(block, lambda_samples=300, seed=seed)
+            applicable, failures = self.replay(block, 300, seed, inflated)
+            assert report.checks["resolvent"]["applicable"] == applicable
+            assert report.resolvent_check_failures == failures
+            listed += len(failures)
+        assert listed > 0
 
 
 class TestResolventOrderCheck:
