@@ -223,6 +223,7 @@ def cmd_sl(args) -> int:
     disc = discretize(potential, L=p["L"], n=p["n"])
     report = containment_report(disc, p["p"], slack_c=p["slack_c"],
                                 slack_kappa=p["slack_kappa"], tol=p["tol"])
+    record.diagnostics = report.diagnostics
 
     out = Path(p["out"])
     rows = [(r["re"], r["im"], r["in_paper_box"], r["in_bst"],

@@ -507,11 +507,14 @@ def boundary_polyline(region, resolution: int = 256, re_window=None) -> list:
     disk-family region's height at each abscissa is its closed form
     ``DiskFamilyRegion.height``; rectangles and hulls use theirs too.
     ``re_window`` clips unbounded regions (required implicitly: a default
-    window is derived from the region scale when none is given); a window
-    holding no abscissa of a disk-family region raises ``ValueError``.
+    window is derived from the region scale when none is given); a reversed
+    window (``re_window[0] > re_window[1]``) or one holding no abscissa of a
+    disk-family region raises ``ValueError``.
     """
     if resolution < 16:
         raise ValueError("resolution >= 16 required")
+    if re_window is not None and re_window[0] > re_window[1]:
+        raise ValueError(f"re_window {re_window} is reversed")
     if isinstance(region, SLBox):
         w, h = region.re_half_width, region.im_half_height
         if w == 0.0 and h == 0.0:

@@ -268,13 +268,15 @@ def _digest(path: Path) -> dict:
 @dataclass
 class RunRecord:
     """Reproducibility envelope of one run: config snapshot, version,
-    timestamps, input digests, and the manifest of produced files."""
+    timestamps, input digests, solver diagnostics, and the manifest of
+    produced files."""
 
     config: dict
     version: str = field(default_factory=artifact_version)
     created_at: str = field(
         default_factory=lambda: datetime.now(timezone.utc).isoformat())
     input_digests: dict = field(default_factory=dict)
+    diagnostics: dict = field(default_factory=dict)
     outputs: list = field(default_factory=list)  # (absolute path, digest)
 
     def register(self, path) -> None:
@@ -299,7 +301,8 @@ def finalize_record(record: RunRecord, directory) -> Path:
                for out, digest in record.outputs]
     payload = {"config": record.config, "version": record.version,
                "createdAt": record.created_at,
-               "inputDigests": record.input_digests, "outputs": outputs}
+               "inputDigests": record.input_digests,
+               "diagnostics": record.diagnostics, "outputs": outputs}
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_bytes(canonical_json(payload).encode("utf-8"))
     return path

@@ -3,7 +3,8 @@
 This module carries the concrete pipeline: the enclosure constants for
 potentials measured in an L^p norm, the competing published region they are
 compared against, finite-difference discretization with a sign-symmetric
-grid, non-real eigenvalue extraction, containment reports, the multiplier
+grid, non-real eigenvalue extraction (the index-certified solver for
+potentials that are not even), containment reports, the multiplier
 inequality checker, and the Rayleigh-quotient estimator for the norm of the
 involution built from the unperturbed spectral projections.
 """
@@ -15,9 +16,11 @@ from functools import cached_property
 import mpmath as mp
 import numpy as np
 from scipy.integrate import quad
+from scipy.linalg import eig, eigh_tridiagonal, solve_banded
 from scipy.special import gammaln
 
 from .geometry import SLBox
+from .reporting import ConfigError
 from .verification import VerificationReport
 
 __all__ = [
@@ -26,6 +29,7 @@ __all__ = [
     "BstRegion",
     "Potential",
     "SLDiscretization",
+    "SLSpectrum",
     "ProbeFunction",
     "sl_constants",
     "sl_box",
@@ -34,6 +38,7 @@ __all__ = [
     "lp_norm",
     "discretize",
     "sl_eigenvalues",
+    "sl_certified_spectrum",
     "sl_sign_types",
     "nonreal_spectrum",
     "containment_slack",
@@ -43,6 +48,12 @@ __all__ = [
     "indicator_probe",
     "extremizer_probe",
     "TAU0_UPPER_BOUND",
+    "SL_PAIRING_TOL",
+    "LEMMA_SLACK",
+    "SL_RESIDUAL_TOL",
+    "SL_BRACKET_WIDTH",
+    "SL_MAX_ITERATIONS",
+    "DENSE_EIG_MAX_BYTES",
 ]
 
 
@@ -53,6 +64,28 @@ class QuadratureError(ArithmeticError):
 SQRT2 = math.sqrt(2.0)
 # sup of the Rayleigh quotient of the involution form: 3 + 2 sqrt(2)
 TAU0_UPPER_BOUND = 3.0 + 2.0 * SQRT2
+
+# Decision tolerances of the pipeline (README, "Scope notes").
+# A non-real eigenvalue's conjugate partner must lie within
+# SL_PAIRING_TOL (1 + |lam|) of its conjugate.
+SL_PAIRING_TOL = 1e-6
+# The multiplier inequality holds when lhs <= rhs (1 + LEMMA_SLACK).
+LEMMA_SLACK = 1e-6
+# A Ritz pair (theta, x) of the certified solver has converged when its
+# backward residual norm(T x - theta S x) / (norm(T) norm(x)) is at most this.
+SL_RESIDUAL_TOL = 1e-14
+# Half-width of the inertia bracket around a converged real Ritz value, and
+# the radius within which two Ritz values count as one, as a backward error:
+# SL_BRACKET_WIDTH norm(T) times the eigenvalue condition number
+# norm(x)^2 / |x^T S x|.  Four orders above SL_RESIDUAL_TOL, so the
+# first-order error of a converged Ritz value lies well inside it.
+SL_BRACKET_WIDTH = 1e-10
+# Expansion rounds after which the certified solver falls back to dense eig.
+SL_MAX_ITERATIONS = 30
+# Largest working set a dense eig of A may take: A itself and the copy LAPACK
+# reduces, 16 n^2 bytes (n = 11585 at 2 GiB).  Above it the run stops with a
+# ConfigError (exit 2) instead of exhausting memory.
+DENSE_EIG_MAX_BYTES = 2 * 1024**3
 
 
 @dataclass(frozen=True)
@@ -342,10 +375,40 @@ def _parity_eigenvalues(disc: SLDiscretization) -> np.ndarray:
 
 def sl_eigenvalues(disc: SLDiscretization, force_dense: bool = False) -> np.ndarray:
     """All eigenvalues of A, using the exact half-size parity reduction when
-    the potential is even on the grid."""
+    the potential is even on the grid.  A dense eig whose working set would
+    exceed ``DENSE_EIG_MAX_BYTES`` raises ``ConfigError`` before it starts."""
     if disc.parity_symmetric and not force_dense:
         return _parity_eigenvalues(disc)
+    need = 16 * disc.n**2
+    if need > DENSE_EIG_MAX_BYTES:
+        raise ConfigError(
+            f"dense eigenvalues at n = {disc.n} need about {need / 1e6:.0f} "
+            f"MB, above the limit DENSE_EIG_MAX_BYTES = "
+            f"{DENSE_EIG_MAX_BYTES / 1e6:.0f} MB")
     return np.linalg.eigvals(disc.A)
+
+
+def _sturm_counts(disc: SLDiscretization, points) -> tuple:
+    """nu(lam) at each point, the number of negative LDL^T pivots of the
+    symmetric tridiagonal pencil T - lam S (the Sturm count of LAPACK
+    bisection), and whether a pivot there fell below pivmin (it is then
+    replaced by -pivmin).  The recurrence runs over the grid rows for all
+    points at once."""
+    points = np.asarray(points, dtype=float)
+    main, upper, _ = disc.diagonals
+    t_main = disc.signs * main
+    t_off_sq = np.concatenate(([0.0], (disc.signs[:-1] * upper) ** 2))
+    pivmin = np.finfo(float).tiny * max(1.0, float(np.max(t_off_sq)))
+    negatives = np.zeros(points.size, dtype=int)
+    singular = np.zeros(points.size, dtype=bool)
+    pivot = np.ones(points.size)
+    for d, s, e2 in zip(t_main, disc.signs, t_off_sq):
+        pivot = d - e2 / pivot - s * points
+        tiny = np.abs(pivot) < pivmin
+        singular |= tiny
+        pivot[tiny] = -pivmin
+        negatives += pivot < 0.0
+    return negatives, singular
 
 
 def sl_sign_types(disc: SLDiscretization, real_sorted) -> np.ndarray:
@@ -355,33 +418,194 @@ def sl_sign_types(disc: SLDiscretization, real_sorted) -> np.ndarray:
 
     ``real_sorted`` holds all real eigenvalues in ascending order; a and b
     are the midpoints to the neighbours, 1.0 beyond the extreme ones.
-    nu(lam) counts the negative LDL^T pivots of the symmetric tridiagonal
-    pencil T - lam S (the Sturm count of LAPACK bisection, pivots below
-    pivmin replaced by -pivmin); at an eigenvalue, the branch of the
-    pencil's eigenvalues through zero has slope -(S v, v)/norm(v)^2.  The
-    recurrence runs over the grid rows for all points at once.
+    nu(lam) is the Sturm count of ``_sturm_counts``; at an eigenvalue, the
+    branch of the pencil's eigenvalues through zero has slope
+    -(S v, v)/norm(v)^2.
     """
     lam = np.asarray(real_sorted, dtype=float)
     points = np.concatenate((lam[:1] - 1.0, 0.5 * (lam[:-1] + lam[1:]),
                              lam[-1:] + 1.0))
+    return np.diff(_sturm_counts(disc, points)[0])
+
+
+@dataclass(frozen=True)
+class SLSpectrum:
+    """Eigenvalues of A and the path that found them.
+
+    On the "parity" and "dense" paths ``eigenvalues`` holds all n of them.
+    On the "certified" path it holds the kappa eigenvalues of non-positive
+    T-type: the ``nonreal_pairs`` (P) non-real ones with Im > 0, then the W
+    real ones of negative T-type, whose inertia jumps are ``jumps``.
+    ``kappa`` is the number of negative eigenvalues of T; ``iterations`` and
+    ``residual`` (the largest backward residual) describe the certified
+    solve, and ``reason`` says why a dense fallback ran.
+    """
+
+    path: str
+    eigenvalues: np.ndarray
+    kappa: int | None = None
+    nonreal_pairs: int | None = None
+    jumps: tuple = ()
+    iterations: int = 0
+    residual: float | None = None
+    reason: str | None = None
+
+    def diagnostics(self) -> dict:
+        """Solver diagnostics for the run record."""
+        certified = self.path == "certified"
+        return {"path": self.path, "kappa": self.kappa,
+                "nonrealPairs": self.nonreal_pairs,
+                "negativeTypeReal": len(self.jumps) if certified else None,
+                "iterations": self.iterations, "maxResidual": self.residual,
+                "fallbackReason": self.reason}
+
+
+def _tridiagonal_matmul(main, off, x) -> np.ndarray:
+    """T x for the symmetric tridiagonal T with the given diagonals."""
+    y = main[:, None] * x
+    y[:-1] += off[:, None] * x[1:]
+    y[1:] += off[:, None] * x[:-1]
+    return y
+
+
+def _pencil_solve(main, off, signs, theta, rhs) -> np.ndarray:
+    """(T - theta S)^-1 rhs by one banded LU."""
+    ab = np.zeros((3, main.size), dtype=np.result_type(theta, float))
+    ab[0, 1:] = off
+    ab[1] = main - theta * signs
+    ab[2, :-1] = off
+    return solve_banded((1, 1), ab, rhs)
+
+
+def _orthonormal_extension(basis, new) -> np.ndarray:
+    """``basis`` with the part of each column of ``new`` orthogonal to it
+    appended.  Two Gram-Schmidt passes ("twice is enough"); a column that
+    the second pass shrinks by half or more lies in the span to working
+    precision and is dropped, as is a zero column."""
+    for col in new.T:
+        norms = []
+        for _ in range(2):
+            col = col - basis @ (basis.T @ col)
+            norms.append(np.linalg.norm(col))
+        if norms[1] > 0.5 * norms[0]:
+            basis = np.column_stack((basis, col / norms[1]))
+    return basis
+
+
+def sl_certified_spectrum(disc: SLDiscretization, tol: float = 1e-8) -> SLSpectrum:
+    """The kappa eigenvalues of non-positive T-type, certified by the count
+    kappa = P + W, in O(n) memory; all n by dense eig when it does not close.
+
+    A = S T is self-adjoint in the indefinite form [f, g] = (T f, g), which
+    has kappa negative squares, kappa the number of negative eigenvalues of
+    T.  With T invertible and the eigenvalues simple, kappa = P + W, P the
+    number of non-real conjugate pairs and W that of real eigenvalues of
+    negative T-type (Iohvidov, Krein & Langer 1982; for the continuous
+    problem P <= kappa is the bound of Behrndt, Katatbeh & Trunk 2009).
+
+    kappa is the negative-pivot Sturm count of T at 0.  Rayleigh-Ritz on a
+    real orthonormal basis Q, seeded with T's kappa negative eigenvectors
+    and their images under T^-1 S, finds the targets: the Ritz values of
+    the real symmetric pencil (Q^T T Q, Q^T S Q) with Im > 0, and the real
+    ones with (T x, x) < 0.  By interlacing there are kappa of them.  Each
+    target whose backward residual exceeds ``SL_RESIDUAL_TOL`` adds the real
+    and imaginary parts of one shifted solve (T - theta S)^-1 S x to Q.
+    The result is certified when every target has converged, the targets
+    are distinct, none of the non-real ones lies within ``tol (1 + |lam|)``
+    of the real axis (the report would call it real), and the inertia jump
+    across each real target's bracket (``SL_BRACKET_WIDTH``) confirms its
+    negative T-type.  Otherwise the dense eigenvalues come back with the
+    reason.
+    """
     main, upper, _ = disc.diagonals
-    t_main = disc.signs * main
-    t_off_sq = np.concatenate(([0.0], (disc.signs[:-1] * upper) ** 2))
-    pivmin = np.finfo(float).tiny * max(1.0, float(np.max(t_off_sq)))
-    negatives = np.zeros(points.size, dtype=int)
-    pivot = np.ones(points.size)
-    for d, s, e2 in zip(t_main, disc.signs, t_off_sq):
-        pivot = d - e2 / pivot - s * points
-        pivot[np.abs(pivot) < pivmin] = -pivmin
-        negatives += pivot < 0.0
-    return np.diff(negatives)
+    s = disc.signs
+    t_main, t_off = s * main, s[:-1] * upper
+    (kappa,), (singular,) = _sturm_counts(disc, [0.0])
+    kappa = int(kappa)
+    iterations, residual = 0, None
+
+    def fallback(reason):
+        return SLSpectrum("dense", sl_eigenvalues(disc, force_dense=True),
+                          kappa=kappa, iterations=iterations,
+                          residual=residual, reason=reason)
+
+    if singular:
+        return fallback("T is singular: a pivot of its Sturm count at 0 "
+                        "fell below pivmin")
+    if kappa == 0:
+        return SLSpectrum("certified", np.zeros(0, dtype=complex), kappa=0,
+                          nonreal_pairs=0)
+    t_norm = float(np.max(np.abs(t_main) + np.abs(np.append(t_off, 0.0))
+                          + np.abs(np.insert(t_off, 0, 0.0))))
+    _, vecs = eigh_tridiagonal(t_main, t_off, select="i",
+                               select_range=(0, kappa - 1))
+    basis = _orthonormal_extension(
+        vecs, _pencil_solve(t_main, t_off, s, 0.0, s[:, None] * vecs))
+    while True:
+        iterations += 1
+        t_basis = _tridiagonal_matmul(t_main, t_off, basis)
+        t_ritz = basis.T @ t_basis
+        s_ritz = basis.T @ (s[:, None] * basis)
+        t_ritz = 0.5 * (t_ritz + t_ritz.T)
+        theta, y = eig(t_ritz, 0.5 * (s_ritz + s_ritz.T))
+        t_type = np.einsum("ij,ij->j", y.real, t_ritz @ y.real)
+        targets = np.isfinite(theta) & (
+            (theta.imag > 0) | ((theta.imag == 0) & (t_type < 0)))
+        theta, x = theta[targets], basis @ y[:, targets]
+        sx = s[:, None] * x
+        x_norm = np.linalg.norm(x, axis=0)
+        residuals = np.linalg.norm(
+            _tridiagonal_matmul(t_main, t_off, x) - theta * sx,
+            axis=0) / (t_norm * x_norm)
+        residual = float(np.max(residuals, initial=0.0))
+        open_targets = np.flatnonzero(residuals > SL_RESIDUAL_TOL)
+        if not open_targets.size:
+            break
+        if iterations == SL_MAX_ITERATIONS:
+            return fallback(f"not converged after {iterations} expansion "
+                            f"rounds (max residual {residual:.1e})")
+        steps = [_pencil_solve(t_main, t_off, s, theta[j], sx[:, j])
+                 for j in open_targets]
+        basis = _orthonormal_extension(
+            basis, np.column_stack([part for z in steps
+                                    for part in (z.real, z.imag)]))
+
+    if theta.size != kappa:
+        return fallback(f"count does not close: P + W = {theta.size}, "
+                        f"kappa = {kappa}")
+    radius = (SL_BRACKET_WIDTH * t_norm * x_norm**2
+              / np.abs(np.einsum("ij,ij->j", x, sx)))
+    gaps = np.abs(theta[:, None] - theta) - (radius[:, None] + radius)
+    np.fill_diagonal(gaps, np.inf)
+    if np.any(gaps <= 0.0):
+        return fallback("two Ritz values within their error radii")
+    nonreal = theta.imag > 0
+    near_real = nonreal & (theta.imag <= tol * (1.0 + np.abs(theta)))
+    if np.any(near_real):
+        return fallback(f"non-real eigenvalue {complex(theta[near_real][0])} "
+                        f"within tol {tol} of the real axis")
+    lam, width = theta[~nonreal].real, radius[~nonreal]
+    order = np.argsort(lam)
+    lam, width = lam[order], width[order]
+    counts, _ = _sturm_counts(disc, np.column_stack(
+        (lam - width, lam + width)).ravel())
+    jumps = counts[1::2] - counts[::2]
+    wrong = jumps != -np.sign(lam)
+    if np.any(wrong):
+        return fallback(f"inertia jump {jumps[wrong][0]} across the bracket "
+                        f"of {lam[wrong][0]}, not negative T-type")
+    pairs = np.sort_complex(theta[nonreal])
+    return SLSpectrum("certified", np.concatenate((pairs, lam)), kappa=kappa,
+                      nonreal_pairs=int(pairs.size),
+                      jumps=tuple(int(j) for j in jumps),
+                      iterations=iterations, residual=residual)
 
 
 def nonreal_spectrum(disc: SLDiscretization, tol: float = 1e-8) -> list:
     """Eigenvalues with |Im| > tol (1 + |lam|), conjugate-paired and sorted.
 
-    Raises when a non-real eigenvalue has no conjugate partner within the
-    pairing tolerance: the computed spectrum then breaks the symmetry the
+    Raises when a non-real eigenvalue has no conjugate partner within
+    ``SL_PAIRING_TOL``: the computed spectrum then breaks the symmetry the
     operator guarantees, which signals a numerical problem.
     """
     evals = sl_eigenvalues(disc)
@@ -391,7 +615,8 @@ def nonreal_spectrum(disc: SLDiscretization, tol: float = 1e-8) -> list:
     while unmatched:
         z = unmatched.pop()
         best = min(unmatched, key=lambda w: abs(w - z.conjugate()), default=None)
-        if best is None or abs(best - z.conjugate()) > 1e-6 * (1.0 + abs(z)):
+        if (best is None
+                or abs(best - z.conjugate()) > SL_PAIRING_TOL * (1.0 + abs(z))):
             raise ArithmeticError(
                 f"non-real eigenvalue {z} has no conjugate partner")
         unmatched.remove(best)
@@ -410,48 +635,84 @@ def containment_slack(disc: SLDiscretization, scale: float,
 def containment_report(disc: SLDiscretization, p: float,
                        slack_c: float = 1.0, slack_kappa: float = 1.0,
                        tol: float = 1e-8) -> VerificationReport:
-    """Check all non-real eigenvalues against the box and the competing
-    region (inflated by the discretization slack), and the sign type of
-    real eigenvalues beyond the box by ``sl_sign_types``."""
+    """Check the non-real eigenvalues against the box and the competing
+    region (inflated by the discretization slack), and the sign type of the
+    real eigenvalues beyond the box.
+
+    An even potential's spectrum comes from the parity reduction, any other
+    one from ``sl_certified_spectrum``.  With all n eigenvalues (parity, or
+    a dense fallback) each real one beyond the box gets its
+    ``sl_sign_types`` jump.  On the certified path every real eigenvalue
+    but the W of negative T-type has (T f, f) > 0, that is sign type
+    sgn(lam), so the sign claim beyond the box holds exactly when each of
+    the W lies within |lam| <= reHalfWidth + slack; ``eigenvalues`` then
+    lists the kappa eigenvalues of non-positive type (a non-real one stands
+    for its conjugate pair), ``checks.spectrum`` the counts, and the table
+    both members of each pair.  The solver's diagnostics are left in
+    ``report.diagnostics`` for the run record.
+    """
     q_norm = lp_norm(disc.potential, p)
     box = sl_box(p, q_norm)
     bst = bst_region(p, q_norm)
     slack = containment_slack(disc, max(1.0, box.re_half_width),
                               c=slack_c, kappa=slack_kappa)
-    evals = [complex(z) for z in sl_eigenvalues(disc)]
-    real = sorted((i for i, z in enumerate(evals)
-                   if abs(z.imag) <= tol * (1.0 + abs(z))),
-                  key=lambda i: evals[i].real)
-    jumps = dict(zip(real, sl_sign_types(disc, [evals[i].real for i in real])))
+    spectrum = (SLSpectrum("parity", sl_eigenvalues(disc))
+                if disc.parity_symmetric else sl_certified_spectrum(disc, tol))
     report = VerificationReport(
         instance={"potential": disc.potential.kind,
                   "depth": getattr(disc.potential, "depth", None),
                   "L": disc.L, "n": disc.n, "p": p},
         bounds={"qNorm": q_norm, "imHalfHeight": box.im_half_height,
                 "reHalfWidth": box.re_half_width, "bstIm": bst.im_bound,
-                "bstAbs": bst.abs_bound, "slack": slack})
+                "bstAbs": bst.abs_bound, "slack": slack},
+        diagnostics=spectrum.diagnostics())
     table = []
-    for i, z in enumerate(evals):
-        if i not in jumps:
-            m_box = box.margin(z)
-            m_bst = bst.margin(z)
-            in_box = m_box <= slack
-            in_bst = m_bst <= slack
-            report.add_nonreal(z, in_box and in_bst, max(m_box, m_bst),
-                               {"lambda": [z.real, z.imag], "margin_box": m_box,
-                                "margin_bst": m_bst})
-            table.append({"re": z.real, "im": z.imag, "in_paper_box": in_box,
-                          "in_bst": in_bst, "margin_paper": m_box,
-                          "margin_bst": m_bst})
-            continue
-        lam, sign = z.real, None
-        if abs(lam) > box.re_half_width + slack:
-            if abs(jumps[i]) == 1:
-                sign = float(jumps[i])
-                report.check_sign(lam, sign, lam > 0)
-            else:
-                report.add_indeterminate(lam, f"net inertia jump {jumps[i]}")
-        report.add_real(lam, sign)
+
+    def check_nonreal(z, count=1):
+        m_box = box.margin(z)
+        m_bst = bst.margin(z)
+        in_box = m_box <= slack
+        in_bst = m_bst <= slack
+        report.add_nonreal(z, in_box and in_bst, max(m_box, m_bst),
+                           {"lambda": [z.real, z.imag], "margin_box": m_box,
+                            "margin_bst": m_bst}, count=count)
+        return {"re": z.real, "im": z.imag, "in_paper_box": in_box,
+                "in_bst": in_bst, "margin_paper": m_box, "margin_bst": m_bst}
+
+    evals = [complex(z) for z in spectrum.eigenvalues]
+    if spectrum.path == "certified":
+        pairs = spectrum.nonreal_pairs
+        for z in evals[:pairs]:
+            row = check_nonreal(z, count=2)
+            table += [dict(row, im=-z.imag), row]
+        for z, jump in zip(evals[pairs:], spectrum.jumps):
+            # negative T-type: the test passes only inside the box
+            lam, sign = z.real, float(jump)
+            inside = abs(lam) <= box.re_half_width + slack
+            report.check_sign(lam, sign, sign > 0 if inside else lam > 0)
+            report.add_real(lam, sign)
+        report.checks["spectrum"] = {
+            "path": spectrum.path, "kappa": spectrum.kappa,
+            "nonrealPairs": pairs, "negativeTypeReal": len(spectrum.jumps),
+            "real": disc.n - 2 * pairs}
+    else:
+        real = sorted((i for i, z in enumerate(evals)
+                       if abs(z.imag) <= tol * (1.0 + abs(z))),
+                      key=lambda i: evals[i].real)
+        jumps = dict(zip(real, sl_sign_types(disc,
+                                             [evals[i].real for i in real])))
+        for i, z in enumerate(evals):
+            if i not in jumps:
+                table.append(check_nonreal(z))
+                continue
+            lam, sign = z.real, None
+            if abs(lam) > box.re_half_width + slack:
+                if abs(jumps[i]) == 1:
+                    sign = float(jumps[i])
+                    report.check_sign(lam, sign, lam > 0)
+                else:
+                    report.add_indeterminate(lam, f"net inertia jump {jumps[i]}")
+            report.add_real(lam, sign)
     report.checks["table"] = table
     report.summarize_sign_checks()
     return report
@@ -525,7 +786,8 @@ def lemma_ls_check(f: ProbeFunction, g: Potential, p: float, r: float) -> dict:
         norm_2(f g) <= (2r)^(1/p) (norm_2(f) + norm_2(f'')/(2 sqrt(3) pi^2 p r^2)) norm_p(g)
 
     for r > 0 and p in [2, inf]; the left side is computed by quadrature.
-    Returns {"lhs", "rhs", "holds"} with a 1e-6 relative decision slack.
+    Returns {"lhs", "rhs", "holds"}; the decision allows the relative
+    slack ``LEMMA_SLACK``.
     """
     if not r > 0:
         raise ValueError("r must be positive")
@@ -546,7 +808,7 @@ def lemma_ls_check(f: ProbeFunction, g: Potential, p: float, r: float) -> dict:
         rhs = ((2.0 * r) ** (1.0 / p)
                * (f.norm + f.fpp_norm / (2.0 * math.sqrt(3.0) * math.pi**2 * p * r**2))
                * lp_norm(g, p))
-    return {"lhs": lhs, "rhs": rhs, "holds": lhs <= rhs * (1.0 + 1e-6)}
+    return {"lhs": lhs, "rhs": rhs, "holds": lhs <= rhs * (1.0 + LEMMA_SLACK)}
 
 
 def _panel_nodes(lo: float, hi: float, panels_per_decade: int,

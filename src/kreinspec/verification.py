@@ -80,6 +80,8 @@ class VerificationReport:
     indeterminate: list = field(default_factory=list)
     checks: dict = field(default_factory=dict)
     sign_tested: int = 0
+    # solver diagnostics for the run record; not part of ``to_json``
+    diagnostics: dict = field(default_factory=dict)
 
     @property
     def verified(self) -> bool:
@@ -87,10 +89,11 @@ class VerificationReport:
                     or self.sign_type_failures)
 
     def add_nonreal(self, lam: complex, contained: bool, margin: float,
-                    failure: dict) -> None:
+                    failure: dict, count: int = 1) -> None:
         """Record a non-real eigenvalue; ``failure`` describes the missed
-        enclosure and is listed only when ``contained`` is false."""
-        self.nonreal_count += 1
+        enclosure and is listed only when ``contained`` is false.  With
+        ``count=2`` the record stands for ``lam`` and its conjugate."""
+        self.nonreal_count += count
         self.eigenvalues.append(EigenRecord(lam, contained, margin, "nonreal"))
         if not contained:
             self.containment_failures.append(failure)

@@ -1,6 +1,10 @@
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -73,6 +77,15 @@ class TestRegionCommand:
                     "--re-max", "200", "--out", str(out)])
         assert code == 2
         assert "misses the region" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("kind", ["bone", "hull"])
+    def test_reversed_window_exit_two(self, tmp_path, capsys, kind):
+        out = tmp_path / "r.csv"
+        code = run(["region", "--kind", kind, "--a", "3", "--b", "0.5",
+                    "--re-min", "5", "--re-max", "3", "--out", str(out)])
+        assert code == 2
+        assert "reversed" in capsys.readouterr().err
         assert not out.exists()
 
     def test_invalid_parameters_exit_two(self, tmp_path, capsys):
@@ -251,6 +264,86 @@ class TestSlCommand:
                     "--out", str(tmp_path / "eigs.csv"),
                     "--report", str(tmp_path / "sl.json")])
         assert code == 0
+
+    @staticmethod
+    def _off_centre_table(path, centre=2.0, depth=6.0):
+        xs = np.linspace(-4, 4, 81).tolist()
+        path.write_text("x,q\n" + "".join(
+            f"{x!r},{-depth * math.exp(-(x - centre) ** 2)!r}\n" for x in xs))
+        return path
+
+    def _tabulated_run(self, tmp_path, n=1000):
+        table = self._off_centre_table(tmp_path / "q.csv")
+        return run(["sl", "--kind", "tabulated", "--file", str(table),
+                    "--p", "2", "--L", "15", "--n", str(n),
+                    "--out", str(tmp_path / "eigs.csv"),
+                    "--report", str(tmp_path / "sl.json")])
+
+    def test_certified_run_records_diagnostics(self, tmp_path):
+        assert self._tabulated_run(tmp_path) == 0
+        record = json.loads((tmp_path / "run_record.json").read_text())
+        diag = record["diagnostics"]
+        assert diag["path"] == "certified"
+        assert (diag["kappa"], diag["nonrealPairs"],
+                diag["negativeTypeReal"]) == (2, 1, 1)
+        assert diag["iterations"] >= 1
+        assert diag["maxResidual"] <= sturm_liouville.SL_RESIDUAL_TOL
+        assert diag["fallbackReason"] is None
+        report = json.loads((tmp_path / "sl.json").read_text())
+        assert report["checks"]["spectrum"] == {
+            "path": "certified", "kappa": 2, "nonrealPairs": 1,
+            "negativeTypeReal": 1, "real": 998}
+        assert "diagnostics" not in report and "iterations" not in json.dumps(report)
+        assert len(report["eigenvalues"]) == 2
+        rows = (tmp_path / "eigs.csv").read_text().splitlines()[1:]
+        assert [float(r.split(",")[1]) < 0 for r in rows] == [True, False]
+        verify_manifest(tmp_path / "run_record.json")
+
+    def test_fallback_run_records_its_reason(self, tmp_path, monkeypatch):
+        counts = sturm_liouville._sturm_counts
+        monkeypatch.setattr(sturm_liouville, "_sturm_counts",
+                            lambda d, pts: (counts(d, pts)[0] + 1,
+                                            counts(d, pts)[1]))
+        assert self._tabulated_run(tmp_path, n=400) == 0
+        diag = json.loads((tmp_path / "run_record.json").read_text())[
+            "diagnostics"]
+        assert diag["path"] == "dense"
+        assert diag["kappa"] == 3
+        assert diag["fallbackReason"].startswith("count does not close")
+        report = json.loads((tmp_path / "sl.json").read_text())
+        assert "spectrum" not in report["checks"]
+        assert len(report["eigenvalues"]) == 400
+
+    def test_dense_memory_guard_exit_two(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(sturm_liouville, "DENSE_EIG_MAX_BYTES", 10**6)
+        monkeypatch.setattr(sturm_liouville, "SL_MAX_ITERATIONS", 1)
+        assert self._tabulated_run(tmp_path, n=400) == 2
+        assert "DENSE_EIG_MAX_BYTES" in capsys.readouterr().err
+
+    def test_large_grid_runs_in_linear_memory(self, tmp_path):
+        # a dense eig at n = 20000 would need 6.4 GB; the certified path
+        # stays far below 500 MB.  The child's own child is measured, so no
+        # earlier subprocess of the pytest process counts.
+        table = self._off_centre_table(tmp_path / "q.csv")
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        argv = [sys.executable, "-m", "kreinspec.cli", "sl", "--kind",
+                "tabulated", "--file", str(table), "--n", "20000",
+                "--out", str(tmp_path / "eigs.csv"),
+                "--report", str(tmp_path / "sl.json")]
+        probe = ("import json, resource, subprocess, sys; "
+                 "code = subprocess.run(json.loads(sys.argv[1]), "
+                 "stdout=subprocess.DEVNULL).returncode; "
+                 "print(code, resource.getrusage("
+                 "resource.RUSAGE_CHILDREN).ru_maxrss)")
+        done = subprocess.run([sys.executable, "-c", probe, json.dumps(argv)],
+                              capture_output=True, text=True, timeout=300,
+                              env=dict(os.environ, PYTHONPATH=src,
+                                       OPENBLAS_NUM_THREADS="1"))
+        code, peak_kib = map(int, done.stdout.split())
+        assert code == 0, done.stderr
+        assert peak_kib / 1024 < 500
+        report = json.loads((tmp_path / "sl.json").read_text())
+        assert report["checks"]["spectrum"]["path"] == "certified"
 
     def test_short_table_row_exit_two(self, tmp_path, capsys):
         table = tmp_path / "q.csv"

@@ -548,6 +548,14 @@ class TestBoundaryPolyline:
         with pytest.raises(ValueError, match="misses the region"):
             boundary_polyline(apart, 64, re_window=(-5.0, 5.0))
 
+    @pytest.mark.parametrize("region", [
+        RelBound(3, 0.5),
+        DiskFamilyRegion(RelBound(10, 0.4), SpectrumModel.interval(-10, 10)),
+    ], ids=["hull", "disk-family"])
+    def test_reversed_window_raises(self, region):
+        with pytest.raises(ValueError, match="reversed"):
+            boundary_polyline(region, 64, re_window=(5.0, 3.0))
+
     def test_hull_boundary_height_on_axis(self):
         pts = boundary_polyline(RelBound(3, 0.9), 257, re_window=(-5, 5))
         at_zero = min(pts, key=lambda z: abs(z.real))

@@ -6,6 +6,7 @@ import pytest
 from scipy.integrate import quad
 
 from kreinspec import sturm_liouville
+from kreinspec.reporting import ConfigError
 from kreinspec.sturm_liouville import (
     Potential,
     TAU0_UPPER_BOUND,
@@ -20,6 +21,7 @@ from kreinspec.sturm_liouville import (
     lp_norm,
     nonreal_spectrum,
     sl_box,
+    sl_certified_spectrum,
     sl_constants,
     sl_eigenvalues,
     sl_sign_types,
@@ -290,6 +292,105 @@ class TestSignTypes:
     def test_no_real_eigenvalues(self):
         disc = discretize(Potential(kind="step", depth=5.0), L=6.0, n=64)
         assert sl_sign_types(disc, []).size == 0
+
+
+def _off_centre_well(centre, depth):
+    xs = np.linspace(-4.0, 4.0, 81)
+    return Potential(kind="tabulated",
+                     table=(xs, -depth * np.exp(-((xs - centre) ** 2))))
+
+
+def _dense_oracle(disc, tol=1e-8):
+    """kappa, the non-real eigenvalues with Im > 0, and the real eigenvalues
+    of negative T-type with their inertia jumps, all from dense eig."""
+    evals = np.linalg.eigvals(disc.A)
+    nonreal = np.abs(evals.imag) > tol * (1.0 + np.abs(evals))
+    real = np.sort(evals[~nonreal].real)
+    jumps = sl_sign_types(disc, real)
+    negative = real * jumps < 0
+    kappa = int(np.sum(np.linalg.eigvalsh(disc.T) < 0))
+    return (kappa, np.sort_complex(evals[nonreal & (evals.imag > 0)]),
+            real[negative], jumps[negative])
+
+
+class TestCertifiedSpectrum:
+    @pytest.mark.parametrize("pot", [
+        Potential(kind="step", depth=5.0),
+        Potential(kind="gaussian", depth=12.0),
+        Potential(kind="lorentzian", depth=8.0, width=0.7),
+        _off_centre_well(0.6, 10.0),
+        _off_centre_well(2.0, 6.0),
+    ], ids=["step", "gaussian", "lorentzian", "tabulated-off-centre",
+            "tabulated-negative-type"])
+    def test_matches_dense_oracle(self, pot):
+        disc = discretize(pot, L=15.0, n=1000)
+        spec = sl_certified_spectrum(disc)
+        assert spec.path == "certified", spec.reason
+        kappa, upper, neg_real, neg_jumps = _dense_oracle(disc)
+        pairs = spec.nonreal_pairs
+        assert spec.kappa == kappa == pairs + len(spec.jumps)
+        assert pairs == upper.size
+        for w in upper:  # sorting would not pair values with Re ~ 0
+            assert np.min(np.abs(spec.eigenvalues[:pairs] - w)) <= 1e-10 * abs(w)
+        np.testing.assert_allclose(spec.eigenvalues[pairs:].real, neg_real,
+                                   rtol=1e-10, atol=0.0)
+        np.testing.assert_array_equal(spec.jumps, neg_jumps)
+        assert spec.residual <= sturm_liouville.SL_RESIDUAL_TOL
+
+    def test_negative_type_real_eigenvalue(self):
+        # the off-centre well deep enough for W = 1: a real eigenvalue
+        # whose inertia jump has the sign opposite to its own
+        disc = discretize(_off_centre_well(2.0, 6.0), L=15.0, n=1000)
+        spec = sl_certified_spectrum(disc)
+        assert spec.jumps == (1,)
+        lam = spec.eigenvalues[-1]
+        assert lam.imag == 0.0 and lam.real < 0.0
+        rep = containment_report(disc, 2.0)
+        assert rep.checks["spectrum"] == {
+            "path": "certified", "kappa": 2, "nonrealPairs": 1,
+            "negativeTypeReal": 1, "real": 998}
+        assert rep.checks["signType"] == {"tested": 1, "failures": 0,
+                                          "indeterminate": 0}
+        assert [r.kind for r in rep.eigenvalues] == ["nonreal", "real"]
+        assert rep.nonreal_count == 2 == len(rep.checks["table"])
+        assert rep.verified
+
+    def test_zero_potential_needs_no_solve(self):
+        xs = np.linspace(-1.0, 1.0, 5)
+        disc = discretize(Potential(kind="tabulated", table=(xs, 0 * xs)),
+                          L=5.0, n=64)
+        spec = sl_certified_spectrum(disc)
+        assert (spec.path, spec.kappa, spec.eigenvalues.size) == ("certified", 0, 0)
+
+    def test_count_that_does_not_close_falls_back(self, monkeypatch):
+        # claiming one negative eigenvalue of T too many: the Ritz problem
+        # still finds kappa - 1 targets, so the count cannot close
+        disc = discretize(_off_centre_well(0.6, 10.0), L=15.0, n=400)
+        counts = sturm_liouville._sturm_counts
+        monkeypatch.setattr(sturm_liouville, "_sturm_counts",
+                            lambda d, pts: (counts(d, pts)[0] + 1,
+                                            counts(d, pts)[1]))
+        spec = sl_certified_spectrum(disc)
+        assert spec.path == "dense"
+        assert spec.reason.startswith("count does not close")
+        np.testing.assert_array_equal(spec.eigenvalues,
+                                      np.linalg.eigvals(disc.A))
+        rep = containment_report(disc, 2.0)
+        assert "spectrum" not in rep.checks
+        assert rep.diagnostics["path"] == "dense"
+        assert rep.diagnostics["fallbackReason"] == spec.reason
+        assert rep.verified
+
+    def test_dense_memory_guard(self, monkeypatch):
+        disc = discretize(_off_centre_well(0.6, 10.0), L=15.0, n=400)
+        monkeypatch.setattr(sturm_liouville, "DENSE_EIG_MAX_BYTES",
+                            16 * 400**2 - 1)
+        with pytest.raises(ConfigError, match="n = 400 need about 3 MB"):
+            sl_eigenvalues(disc, force_dense=True)
+        # the fallback is guarded too
+        monkeypatch.setattr(sturm_liouville, "SL_MAX_ITERATIONS", 1)
+        with pytest.raises(ConfigError, match="n = 400"):
+            sl_certified_spectrum(disc)
 
 
 class TestContainmentReport:
