@@ -10,7 +10,7 @@ involution built from the unperturbed spectral projections.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import mpmath as mp
@@ -50,6 +50,7 @@ __all__ = [
     "TAU0_UPPER_BOUND",
     "SL_PAIRING_TOL",
     "LEMMA_SLACK",
+    "LEMMA_QUAD_TOL",
     "SL_RESIDUAL_TOL",
     "SL_BRACKET_WIDTH",
     "SL_MAX_ITERATIONS",
@@ -71,6 +72,9 @@ TAU0_UPPER_BOUND = 3.0 + 2.0 * SQRT2
 SL_PAIRING_TOL = 1e-6
 # The multiplier inequality holds when lhs <= rhs (1 + LEMMA_SLACK).
 LEMMA_SLACK = 1e-6
+# A quadrature of the multiplier check (the probe norms and the left side)
+# fails when its error estimate exceeds LEMMA_QUAD_TOL times its value.
+LEMMA_QUAD_TOL = 1e-8
 # A Ritz pair (theta, x) of the certified solver has converged when its
 # backward residual norm(T x - theta S x) / (norm(T) norm(x)) is at most this.
 SL_RESIDUAL_TOL = 1e-14
@@ -82,9 +86,11 @@ SL_RESIDUAL_TOL = 1e-14
 SL_BRACKET_WIDTH = 1e-10
 # Expansion rounds after which the certified solver falls back to dense eig.
 SL_MAX_ITERATIONS = 30
-# Largest working set a dense eig of A may take: A itself and the copy LAPACK
-# reduces, 16 n^2 bytes (n = 11585 at 2 GiB).  Above it the run stops with a
-# ConfigError (exit 2) instead of exhausting memory.
+# Largest working set an eig of A may take.  A dense eig holds A itself and
+# the copy LAPACK reduces, 16 n^2 bytes (n = 11585 at 2 GiB); the parity path
+# holds its two (n/2)^2 blocks and their product, 6 n^2 bytes (n = 18918).
+# Above it the run stops with a ConfigError (exit 2) instead of exhausting
+# memory.
 DENSE_EIG_MAX_BYTES = 2 * 1024**3
 
 
@@ -352,39 +358,47 @@ def discretize(q: Potential, L: float = 30.0, n: int = 4000) -> SLDiscretization
                             q_values=q.values(x), signs=np.sign(x))
 
 
+def _guard_eig_memory(path: str, n: int, need: int) -> None:
+    """Refuse an eig whose working set of ``need`` bytes exceeds
+    ``DENSE_EIG_MAX_BYTES``, before anything is allocated."""
+    if need > DENSE_EIG_MAX_BYTES:
+        raise ConfigError(
+            f"{path} eigenvalues at n = {n} need about {need / 1e6:.0f} "
+            f"MB, above the limit DENSE_EIG_MAX_BYTES = "
+            f"{DENSE_EIG_MAX_BYTES / 1e6:.0f} MB")
+
+
 def _parity_eigenvalues(disc: SLDiscretization) -> np.ndarray:
     """Spectrum via the parity splitting, valid for even potentials.
 
     The reflection P anticommutes with A, so in the even/odd basis A is
     off-block [[0, B], [C, 0]] and its eigenvalues are the two square roots
     of each eigenvalue of the half-size product B C.  B and C equal the
-    leading n/2 block of A up to one corner entry.
+    leading n/2 block of A up to one corner entry.  B, C and B C are live
+    together, 6 n^2 bytes; B and C are freed before the eig of B C.
     """
+    _guard_eig_memory("parity", disc.n, 6 * disc.n**2)
     m = disc.n // 2
     main, upper, lower = disc.diagonals
-    s_block = _dense_tridiagonal(main[:m], upper[:m - 1], lower[:m - 1])
     corner = upper[m - 1]  # entry A[m-1, m]
-    b_block = s_block.copy()
+    b_block = _dense_tridiagonal(main[:m], upper[:m - 1], lower[:m - 1])
+    c_block = b_block.copy()
     b_block[m - 1, m - 1] -= corner
-    c_block = s_block.copy()
     c_block[m - 1, m - 1] += corner
-    mu = np.linalg.eigvals(b_block @ c_block)
+    product = b_block @ c_block
+    del b_block, c_block
+    mu = np.linalg.eigvals(product)
     roots = np.sqrt(mu.astype(complex))
     return np.concatenate([roots, -roots])
 
 
 def sl_eigenvalues(disc: SLDiscretization, force_dense: bool = False) -> np.ndarray:
     """All eigenvalues of A, using the exact half-size parity reduction when
-    the potential is even on the grid.  A dense eig whose working set would
+    the potential is even on the grid.  An eig whose working set would
     exceed ``DENSE_EIG_MAX_BYTES`` raises ``ConfigError`` before it starts."""
     if disc.parity_symmetric and not force_dense:
         return _parity_eigenvalues(disc)
-    need = 16 * disc.n**2
-    if need > DENSE_EIG_MAX_BYTES:
-        raise ConfigError(
-            f"dense eigenvalues at n = {disc.n} need about {need / 1e6:.0f} "
-            f"MB, above the limit DENSE_EIG_MAX_BYTES = "
-            f"{DENSE_EIG_MAX_BYTES / 1e6:.0f} MB")
+    _guard_eig_memory("dense", disc.n, 16 * disc.n**2)
     return np.linalg.eigvals(disc.A)
 
 
@@ -720,12 +734,20 @@ def containment_report(disc: SLDiscretization, p: float,
 
 @dataclass(frozen=True)
 class ProbeFunction:
-    """Smooth decaying function with an exactly known second derivative."""
+    """Smooth decaying function with an exactly known second derivative.
+
+    Its norms do not depend on the exponent or the radius of a multiplier
+    check, so each is computed once per probe: ``norm`` and ``fpp_norm`` are
+    cached, and ``product_norm`` memoizes norm(f g) per potential g.
+    """
 
     label: str
     f: object
     fpp: object
     window: float  # quadrature window half-width: values negligible beyond
+    # product_norm's memo, keyed by the frozen (hashable) Potential g
+    _product_norms: dict = field(default_factory=dict, init=False,
+                                 repr=False, compare=False)
 
     @classmethod
     def gaussian(cls, alpha: float = 1.0, center: float = 0.0):
@@ -771,11 +793,29 @@ class ProbeFunction:
         """L2 norm of f'' over the window, computed once per probe."""
         return _l2_norm(self.fpp, self.window)
 
+    def product_norm(self, g: Potential) -> float:
+        """L2 norm of f g over the wider of the probe's window and g's
+        (30 widths, or the table's reach), computed once per equal-valued
+        potential.  A quadrature whose error estimate exceeds
+        ``LEMMA_QUAD_TOL`` of its value raises ``QuadratureError`` and is
+        not memoized."""
+        if g not in self._product_norms:
+            g_window = (max(np.max(np.abs(g.table[0])), 1.0)
+                        if g.kind == "tabulated" else 30.0 * g.width)
+            window = max(self.window, g_window)
+            val, err = quad(lambda x: abs(self.f(x) * g.values(x)) ** 2,
+                            -window, window, limit=800, epsabs=0.0,
+                            epsrel=1e-12, points=None)
+            if val > 0 and err > LEMMA_QUAD_TOL * val:
+                raise QuadratureError(f"lhs quadrature error {err:.2e} too large")
+            self._product_norms[g] = math.sqrt(max(val, 0.0))
+        return self._product_norms[g]
 
-def _l2_norm(func, window: float, rel_tol: float = 1e-8) -> float:
+
+def _l2_norm(func, window: float) -> float:
     val, err = quad(lambda x: abs(func(x)) ** 2, -window, window,
                     limit=400, epsabs=0.0, epsrel=1e-12)
-    if val < 0 or (val > 0 and err > rel_tol * val):
+    if val < 0 or (val > 0 and err > LEMMA_QUAD_TOL * val):
         raise QuadratureError(f"norm quadrature error {err:.2e} too large")
     return math.sqrt(val)
 
@@ -785,23 +825,16 @@ def lemma_ls_check(f: ProbeFunction, g: Potential, p: float, r: float) -> dict:
 
         norm_2(f g) <= (2r)^(1/p) (norm_2(f) + norm_2(f'')/(2 sqrt(3) pi^2 p r^2)) norm_p(g)
 
-    for r > 0 and p in [2, inf]; the left side is computed by quadrature.
-    Returns {"lhs", "rhs", "holds"}; the decision allows the relative
-    slack ``LEMMA_SLACK``.
+    for r > 0 and p in [2, inf].  The left side is ``f.product_norm(g)``,
+    one quadrature per probe and potential whatever p and r; the right side
+    is closed-form.  Returns {"lhs", "rhs", "holds"}; the decision allows
+    the relative slack ``LEMMA_SLACK``.
     """
     if not r > 0:
         raise ValueError("r must be positive")
     if not p >= 2:
         raise ValueError("p >= 2 required")
-    g_window = (max(np.max(np.abs(g.table[0])), 1.0) if g.kind == "tabulated"
-                else 30.0 * g.width)
-    window = max(f.window, g_window)
-    lhs_sq, err = quad(lambda x: abs(f.f(x) * g.values(x)) ** 2,
-                       -window, window, limit=800, epsabs=0.0, epsrel=1e-12,
-                       points=None)
-    if lhs_sq > 0 and err > 1e-8 * lhs_sq:
-        raise QuadratureError(f"lhs quadrature error {err:.2e} too large")
-    lhs = math.sqrt(max(lhs_sq, 0.0))
+    lhs = f.product_norm(g)
     if math.isinf(p):
         rhs = f.norm * lp_norm(g, math.inf)
     else:

@@ -49,6 +49,27 @@ SIGN_TOL = 1e-6
 # A real eigenvalue within CLUSTER_TOL * scale of another one has no
 # well-defined eigenvector, so its sign type is left indeterminate.
 CLUSTER_TOL = 1e-6
+# An eigenvalue within SPECTRUM_PROXIMITY_TOL * scale of a point of a block's
+# spectrum counts as inside that side's spectrum (no K-set claim is made).
+SPECTRUM_PROXIMITY_TOL = 1e-8
+# A non-real eigenvalue counts as contained when its region margin is at most
+# CONTAINMENT_SLACK * scale; it absorbs the eigensolver's own error at
+# tangency cases (e.g. 1x1 blocks put non-real eigenvalues exactly on the rim).
+CONTAINMENT_SLACK = 1e-8
+# The resolvent bound applies on a side whose factor norm nu is below
+# 1 - APPLICABILITY_MARGIN, away from the pole of its cap at nu = 1.
+APPLICABILITY_MARGIN = 1e-9
+# A sampled resolvent norm fails its cap when it exceeds
+# cap (1 + RESOLVENT_REL_TOL) + RESOLVENT_ABS_TOL in verify_block_theorem,
+# and cap (1 + RESOLVENT_REL_TOL) in resolvent_order_check.
+RESOLVENT_REL_TOL = 1e-8
+RESOLVENT_ABS_TOL = 1e-12
+# verify_tmain tests the sign type of a real eigenvalue only beyond the tight
+# region's real section s, at |Re lam| > s (1 + REAL_SECTION_SLACK)
+# + REAL_SECTION_ABS_SLACK * scale; a clustered one beyond
+# s (1 + REAL_SECTION_SLACK) is recorded as indeterminate.
+REAL_SECTION_SLACK = 1e-6
+REAL_SECTION_ABS_SLACK = 1e-9
 
 
 class HypothesisUnmetError(ValueError):
@@ -312,12 +333,13 @@ def verify_block_theorem(block: BlockOperator, lambda_samples: int = 1000,
                 "a_plus": a_plus, "b_plus": b_plus})
 
     # K-set membership per side (factor T, block S, spectrum d) and eigenvalue,
-    # real ones at their real part; within 1e-8 * scale of d counts as inside
+    # real ones at their real part; near d counts as inside
     sides = ((m, block.s_minus, d_minus), (m.conj().T, block.s_plus, d_plus))
     probes = np.where(spec.nonreal, spec.values, spec.values.real)
     in_k = []
     for t_op, s_op, d_side in sides:
-        inside = np.min(np.abs(d_side - probes[:, None]), axis=1) <= 1e-8 * scale
+        gap = np.min(np.abs(d_side - probes[:, None]), axis=1)
+        inside = gap <= SPECTRUM_PROXIMITY_TOL * scale
         inside[~inside] = k_set_membership(t_op, s_op, probes[~inside])
         in_k.append(inside.tolist())
     in_k_minus, in_k_plus = in_k
@@ -328,9 +350,8 @@ def verify_block_theorem(block: BlockOperator, lambda_samples: int = 1000,
             mem_minus = disk_region_membership(region_minus, lam)
             mem_plus = disk_region_membership(region_plus, lam)
             margin = max(mem_minus.margin, mem_plus.margin)
-            # slack absorbs the eigensolver's own error at tangency cases
-            # (e.g. 1x1 blocks put non-real eigenvalues exactly on the rim)
-            contained = in_k_minus[idx] and in_k_plus[idx] and margin <= 1e-8 * scale
+            contained = (in_k_minus[idx] and in_k_plus[idx]
+                         and margin <= CONTAINMENT_SLACK * scale)
             report.add_nonreal(
                 lam, contained, margin,
                 {"lambda": [lam.real, lam.imag],
@@ -354,13 +375,14 @@ def verify_block_theorem(block: BlockOperator, lambda_samples: int = 1000,
                              * rng.choice([-1.0, 1.0]))
                      for _ in range(lambda_samples)])
     nu = np.stack([resolvent_factor_norm(t, s, lams) for t, s, _ in sides], axis=1)
-    applicable = nu < 1.0 - 1e-9
+    applicable = nu < 1.0 - APPLICABILITY_MARGIN
     res = np.zeros(lambda_samples)
     hit = applicable.any(axis=1)
     res[hit] = resolvent_norm(full, lams[hit])
     with np.errstate(divide="ignore"):
         cap = (1.0 + nu + nu * nu) / (np.abs(lams.imag)[:, None] * (1.0 - nu * nu))
-    failed = applicable & (res[:, None] > cap * (1.0 + 1e-8) + 1e-12)
+    failed = applicable & (res[:, None] > cap * (1.0 + RESOLVENT_REL_TOL)
+                                     + RESOLVENT_ABS_TOL)
     report.resolvent_check_failures.extend(  # in (sample, side) order
         {"lambda": [lams[k].real, lams[k].imag], "norm": float(res[k]),
          "cap": float(cap[k, side])} for k, side in zip(*np.nonzero(failed)))
@@ -443,16 +465,18 @@ def verify_tmain(problem: KreinPerturbationProblem,
         if spec.nonreal[idx]:
             margin = max(disk_region_membership(r, lam).margin
                          for r in (worse, better) if r is not None)
-            report.add_nonreal(lam, margin <= 1e-8 * scale, margin,
+            report.add_nonreal(lam, margin <= CONTAINMENT_SLACK * scale,
+                               margin,
                                {"lambda": [lam.real, lam.imag], "margin": margin})
             continue
         sign = spec.sign(idx, j_sig)
         report.add_real(lam, sign)
         if spec.clustered[idx]:
-            if abs(lam.real) > tight_section * (1.0 + 1e-6):
+            if abs(lam.real) > tight_section * (1.0 + REAL_SECTION_SLACK):
                 report.add_indeterminate(lam.real, "clustered eigenvalue")
             continue
-        if abs(lam.real) > tight_section * (1.0 + 1e-6) + 1e-9 * scale:
+        if abs(lam.real) > (tight_section * (1.0 + REAL_SECTION_SLACK)
+                            + REAL_SECTION_ABS_SLACK * scale):
             report.check_sign(lam.real, sign, lam.real > 0)
     report.checks["realSection"] = real_section
     report.summarize_sign_checks()
@@ -495,7 +519,8 @@ def resolvent_order_check(block: BlockOperator, samples: int = 1000,
     res = resolvent_norm(full, lams)
     cap = 3.0 / ((1.0 - b_sel) * np.abs(lams.imag))
     failures = [{"lambda": [lam.real, lam.imag], "norm": float(r), "cap": float(c)}
-                for lam, r, c in zip(lams, res, cap) if r > c * (1.0 + 1e-8)]
+                for lam, r, c in zip(lams, res, cap)
+                if r > c * (1.0 + RESOLVENT_REL_TOL)]
     inners = inners[np.abs(inners.imag) > 1e-6]
     m_growth = float(np.max(resolvent_norm(full, inners) * inners.imag**2
                             / (1.0 + np.abs(inners)) ** 2, initial=0.0))

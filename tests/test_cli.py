@@ -320,30 +320,51 @@ class TestSlCommand:
         assert self._tabulated_run(tmp_path, n=400) == 2
         assert "DENSE_EIG_MAX_BYTES" in capsys.readouterr().err
 
-    def test_large_grid_runs_in_linear_memory(self, tmp_path):
-        # a dense eig at n = 20000 would need 6.4 GB; the certified path
-        # stays far below 500 MB.  The child's own child is measured, so no
-        # earlier subprocess of the pytest process counts.
-        table = self._off_centre_table(tmp_path / "q.csv")
+    @staticmethod
+    def _measured_sl_run(tmp_path, *argv):
+        """Run ``sl`` in a grandchild process; return its exit code, its
+        peak RSS in MB and its stderr.  The child's own child is measured,
+        so no earlier subprocess of the pytest process counts."""
         src = str(Path(__file__).resolve().parents[1] / "src")
-        argv = [sys.executable, "-m", "kreinspec.cli", "sl", "--kind",
-                "tabulated", "--file", str(table), "--n", "20000",
-                "--out", str(tmp_path / "eigs.csv"),
-                "--report", str(tmp_path / "sl.json")]
+        command = [sys.executable, "-m", "kreinspec.cli", "sl", *argv,
+                   "--out", str(tmp_path / "eigs.csv"),
+                   "--report", str(tmp_path / "sl.json")]
         probe = ("import json, resource, subprocess, sys; "
-                 "code = subprocess.run(json.loads(sys.argv[1]), "
-                 "stdout=subprocess.DEVNULL).returncode; "
-                 "print(code, resource.getrusage("
-                 "resource.RUSAGE_CHILDREN).ru_maxrss)")
-        done = subprocess.run([sys.executable, "-c", probe, json.dumps(argv)],
+                 "done = subprocess.run(json.loads(sys.argv[1]), "
+                 "stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, "
+                 "text=True); "
+                 "print(done.returncode, resource.getrusage("
+                 "resource.RUSAGE_CHILDREN).ru_maxrss); "
+                 "print(done.stderr, file=sys.stderr)")
+        done = subprocess.run([sys.executable, "-c", probe,
+                               json.dumps(command)],
                               capture_output=True, text=True, timeout=300,
                               env=dict(os.environ, PYTHONPATH=src,
                                        OPENBLAS_NUM_THREADS="1"))
         code, peak_kib = map(int, done.stdout.split())
-        assert code == 0, done.stderr
-        assert peak_kib / 1024 < 500
+        return code, peak_kib / 1024, done.stderr
+
+    def test_large_grid_runs_in_linear_memory(self, tmp_path):
+        # a dense eig at n = 20000 would need 6.4 GB; the certified path
+        # stays far below 500 MB
+        table = self._off_centre_table(tmp_path / "q.csv")
+        code, peak_mb, stderr = self._measured_sl_run(
+            tmp_path, "--kind", "tabulated", "--file", str(table),
+            "--n", "20000")
+        assert code == 0, stderr
+        assert peak_mb < 500
         report = json.loads((tmp_path / "sl.json").read_text())
         assert report["checks"]["spectrum"]["path"] == "certified"
+
+    def test_parity_memory_guard_exit_two(self, tmp_path):
+        # an even potential at n = 20000 would put B, C and B C, 2.4 GB, on
+        # the parity path; the guard refuses it before allocating
+        code, peak_mb, stderr = self._measured_sl_run(
+            tmp_path, "--kind", "step", "--n", "20000")
+        assert code == 2, stderr
+        assert "parity eigenvalues at n = 20000" in stderr
+        assert peak_mb < 500
+        assert not (tmp_path / "sl.json").exists()
 
     def test_short_table_row_exit_two(self, tmp_path, capsys):
         table = tmp_path / "q.csv"

@@ -266,6 +266,20 @@ class TestNonrealSpectrum:
         for lam in evals:
             assert np.min(np.abs(evals - np.conj(lam))) < 1e-8 * scale
 
+    def test_parity_memory_guard(self, monkeypatch):
+        # the parity path holds B, C and B C: 6 n^2 bytes
+        disc = discretize(Potential(kind="step", depth=5.0), L=14.0, n=400)
+        assert disc.parity_symmetric
+        monkeypatch.setattr(sturm_liouville, "DENSE_EIG_MAX_BYTES",
+                            6 * 400**2 - 1)
+        with pytest.raises(ConfigError,
+                           match="parity eigenvalues at n = 400 need about 1 MB"):
+            sl_eigenvalues(disc)
+        with pytest.raises(ConfigError, match="DENSE_EIG_MAX_BYTES"):
+            containment_report(disc, 2.0)
+        monkeypatch.setattr(sturm_liouville, "DENSE_EIG_MAX_BYTES", 6 * 400**2)
+        assert sl_eigenvalues(disc).size == 400
+
 
 class TestSignTypes:
     @pytest.mark.parametrize("pot", [
@@ -499,9 +513,97 @@ class TestLemmaChecker:
 
         monkeypatch.setattr(sturm_liouville, "quad", counting_quad)
         assert lemma_ls_check(f, g, p=3.0, r=0.5) == first
-        assert len(calls) == 1  # the left side only; both norms are cached
+        assert len(calls) == 0  # both norms and the left side are cached
         assert f.norm == sturm_liouville._l2_norm(f.f, f.window)
         assert f.fpp_norm == sturm_liouville._l2_norm(f.fpp, f.window)
+
+    @staticmethod
+    def _count_quad(monkeypatch):
+        calls = []
+
+        def counting_quad(*args, **kwargs):
+            calls.append(1)
+            return quad(*args, **kwargs)
+
+        monkeypatch.setattr(sturm_liouville, "quad", counting_quad)
+        return calls
+
+    def test_left_side_once_per_potential(self, monkeypatch):
+        f = ProbeFunction.hermite(2)
+        g = Potential(kind="step", depth=2.0, width=0.5)
+        assert f.norm > 0 and f.fpp_norm > 0  # warm the norm caches
+        calls = self._count_quad(monkeypatch)
+        for r in (0.1, 1.0, 3.0, 20.0):
+            for p in (2.0, 3.0, 10.0, math.inf):
+                lemma_ls_check(f, g, p=p, r=r)
+        assert len(calls) == 1
+        lemma_ls_check(f, Potential(kind="gaussian", depth=1.0), p=2.0, r=1.0)
+        assert len(calls) == 2
+        # an equal-valued potential is a different object with the same key
+        lemma_ls_check(f, Potential(kind="step", depth=2, width=0.5),
+                       p=3.0, r=0.7)
+        assert len(calls) == 2
+
+    def test_product_norm_matches_direct_quadrature(self):
+        f = ProbeFunction.gaussian(alpha=0.7, center=0.3)
+        for g in (Potential(kind="lorentzian", depth=1.5, width=0.8),
+                  Potential(kind="tabulated",
+                            table=([-3.0, -0.5, 2.0], [1.0, -2.0, 0.5]))):
+            g_window = (max(np.max(np.abs(g.table[0])), 1.0)
+                        if g.kind == "tabulated" else 30.0 * g.width)
+            window = max(f.window, g_window)
+            val, _ = quad(lambda x: abs(f.f(x) * g.values(x)) ** 2,
+                          -window, window, limit=800, epsabs=0.0,
+                          epsrel=1e-12, points=None)
+            assert f.product_norm(g) == math.sqrt(val)
+            assert lemma_ls_check(f, g, p=2.0, r=1.0)["lhs"] == math.sqrt(val)
+
+    def test_failed_quadrature_is_not_cached(self, monkeypatch):
+        f = ProbeFunction.gaussian(alpha=1.0)
+        g = Potential(kind="step", depth=1.0)
+        monkeypatch.setattr(sturm_liouville, "quad",
+                            lambda *args, **kwargs: (1.0, 1e-3))
+        for _ in range(2):
+            with pytest.raises(sturm_liouville.QuadratureError, match="lhs"):
+                f.product_norm(g)
+        monkeypatch.setattr(sturm_liouville, "quad", quad)
+        assert f.product_norm(g) > 0
+
+    def test_memo_leaves_probe_identity_alone(self):
+        f = ProbeFunction.hermite(1)
+        before = (hash(f), repr(f))
+        f.product_norm(Potential(kind="step"))
+        assert (hash(f), repr(f)) == before
+        assert "_product_norms" not in repr(f)
+        assert f == ProbeFunction(label=f.label, f=f.f, fpp=f.fpp,
+                                  window=f.window)
+
+    def test_criterion_08_sweep_one_quadrature_per_pair(self, monkeypatch):
+        # criterion 08's configuration: one left-side quadrature per distinct
+        # (probe, potential) pair, none per radius or exponent
+        rng = np.random.default_rng(808)
+        functions = [ProbeFunction.gaussian(alpha=a, center=c)
+                     for a, c in [(0.5, 0.0), (1.0, 0.7), (2.0, -1.2),
+                                  (3.5, 0.2)]]
+        functions += [ProbeFunction.hermite(k) for k in (0, 1, 2, 3)]
+        potentials = [Potential(kind="step", depth=d, width=w)
+                      for d, w in [(1.0, 1.0), (4.0, 0.5)]]
+        potentials += [Potential(kind="gaussian", depth=2.0, width=1.5),
+                       Potential(kind="lorentzian", depth=1.0, width=1.0)]
+        pairs = [(functions[rng.integers(len(functions))],
+                  potentials[rng.integers(len(potentials))])
+                 for _ in range(20)]
+        for f in functions:
+            assert f.norm > 0 and f.fpp_norm > 0  # warm the norm caches
+        calls = self._count_quad(monkeypatch)
+        checks = 0
+        for f, g in pairs:
+            for r in np.geomspace(1e-2, 1e2, 20):
+                for p in (2.0, 3.0, 10.0, 1e3):
+                    assert lemma_ls_check(f, g, p=p, r=float(r))["holds"]
+                    checks += 1
+        assert checks == 1600
+        assert len(calls) == len({(f.label, g) for f, g in pairs})
 
     def test_derivatives_are_consistent(self):
         # finite differences validate the declared second derivatives
