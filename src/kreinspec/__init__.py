@@ -43,7 +43,6 @@ from .sturm_liouville import (
     discretize,
     lemma_ls_check,
     lp_norm,
-    nonreal_spectrum,
     sl_box,
     sl_constants,
     sl_eigenvalues,

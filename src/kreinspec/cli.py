@@ -18,9 +18,9 @@ import numpy as np
 from .geometry import DiskFamilyRegion, RelBound, SpectrumModel, \
     boundary_polyline, prior_hull_height, region_to_json
 from .operators import KreinPerturbationProblem
-from .reporting import ConfigError, RunConfig, RunRecord, artifact_version, \
-    finalize_record, load_config, matrix_from_json, normalize_config, \
-    write_csv, write_json, write_report
+from .reporting import COMMAND_SCHEMAS, ConfigError, RunConfig, RunRecord, \
+    artifact_version, finalize_record, load_config, matrix_from_json, \
+    normalize_config, write_csv, write_json, write_report
 from .sturm_liouville import Potential, TAU0_UPPER_BOUND, \
     bst_region, containment_report, discretize, extremizer_probe, \
     indicator_probe, sl_constants, tau0_hilbert_form
@@ -35,26 +35,18 @@ EXIT_NUMERICAL = 4
 
 
 def _add_schema_flags(sub, command):
-    from .reporting import COMMAND_SCHEMAS
     for key, (tname, default, desc, _check) in COMMAND_SCHEMAS[command].items():
-        flag = "--" + key.replace("_", "-")
-        kwargs = {"default": None, "dest": key}
-        if tname == "int":
-            kwargs["type"] = int
-        elif tname == "float":
-            kwargs["type"] = float
-        elif tname == "bool":
+        kwargs = {"default": None, "dest": key,
+                  "help": f"({tname}; {desc + '; ' if desc else ''}"
+                          f"default {default})"}
+        if tname == "bool":
             kwargs["action"] = "store_true"
-            kwargs["default"] = None
-        if desc:
-            kwargs["help"] = f"({tname}; {desc}; default {default})"
-        else:
-            kwargs["help"] = f"({tname}; default {default})"
-        sub.add_argument(flag, **kwargs)
+        elif tname != "str":
+            kwargs["type"] = int if tname == "int" else float
+        sub.add_argument("--" + key.replace("_", "-"), **kwargs)
 
 
 def _resolve_config(args, command) -> RunConfig:
-    from .reporting import COMMAND_SCHEMAS
     file_params = {}
     if args.config is not None:
         file_params = dict(load_config(args.config, command).params)

@@ -28,6 +28,13 @@ __all__ = [
 ]
 
 _HERM_TOL = 1e-12
+# Decision tolerances, relative to a norm (README, "Scope notes"): the K-set
+# slack, the near-spectrum guard, the positive-definiteness guard on J A0
+# (both of its checks) and spectral_projections' near-zero-eigenvalue guard.
+K_SET_SLACK = 1e-10
+NEAR_SPECTRUM_TOL = 1e-12
+POSITIVITY_TOL = 1e-10
+ZERO_EIGENVALUE_TOL = 1e-10
 
 
 def _as_matrix(x, name: str) -> np.ndarray:
@@ -95,7 +102,8 @@ def block_signature(block: BlockOperator) -> np.ndarray:
 def resolvent_factor_norm(t_op, s_op, lam):
     """Largest singular value of T (S - lam)^{-1} for Hermitian S = U diag(d) U*,
     taken as that of (T U) / (d - lam): one stacked SVD over an array of lam
-    (a float for a scalar lam).  Rejects lam within 1e-12 * norm(S) of S's spectrum."""
+    (a float for a scalar lam).  Rejects lam within ``NEAR_SPECTRUM_TOL``
+    max(norm(S), 1) of S's spectrum."""
     t_op = _as_matrix(t_op, "T")
     s_op = _as_matrix(s_op, "S")
     _require_hermitian(s_op, "S")
@@ -104,7 +112,8 @@ def resolvent_factor_norm(t_op, s_op, lam):
     lam = np.asarray(lam, dtype=complex)
     d, u = np.linalg.eigh(s_op)
     shifted = d - lam[..., None]
-    near = np.any(np.abs(shifted) <= 1e-12 * max(np.max(np.abs(d)), 1.0), axis=-1)
+    guard = NEAR_SPECTRUM_TOL * max(np.max(np.abs(d)), 1.0)
+    near = np.any(np.abs(shifted) <= guard, axis=-1)
     if np.any(near):
         raise ValueError(f"lambda = {lam[near].flat[0]} is in (or too close to) "
                          "the spectrum of S")
@@ -125,8 +134,8 @@ def resolvent_norm(a_op, lam):
 
 
 def k_set_membership(t_op, s_op, lam):
-    """Whether norm(T (S - lam)^{-1}) >= 1 (per lam), up to a 1e-10 decision slack."""
-    return resolvent_factor_norm(t_op, s_op, lam) >= 1.0 - 1e-10
+    """Whether norm(T (S - lam)^{-1}) >= 1 (per lam), up to ``K_SET_SLACK``."""
+    return resolvent_factor_norm(t_op, s_op, lam) >= 1.0 - K_SET_SLACK
 
 
 def min_relative_bound(t_op, s_op, b):
@@ -172,7 +181,7 @@ class KreinPerturbationProblem:
         _require_hermitian(p, "J @ A0")
         pe = np.linalg.eigvalsh(p)
         scale = max(abs(pe[0]), abs(pe[-1]), 1e-300)
-        if pe[0] <= 1e-10 * scale:
+        if pe[0] <= POSITIVITY_TOL * scale:
             raise ValueError(
                 f"J @ A0 must be positive definite; smallest eigenvalue {pe[0]:.3e}")
         _require_hermitian(sig[:, None] * v, "J @ V")
@@ -183,10 +192,6 @@ class KreinPerturbationProblem:
     @property
     def dim(self) -> int:
         return self.signature.size
-
-    @property
-    def j_matrix(self) -> np.ndarray:
-        return np.diag(self.signature).astype(complex)
 
     @property
     def jv_lower_bound(self) -> float:
@@ -218,14 +223,14 @@ def spectral_projections(problem: KreinPerturbationProblem) -> ProjectionData:
     p = 0.5 * (p + p.conj().T)
     pe, pu = np.linalg.eigh(p)
     scale = max(abs(pe[-1]), 1e-300)
-    if pe[0] <= 1e-10 * scale:
+    if pe[0] <= POSITIVITY_TOL * scale:
         raise ValueError("J @ A0 not positive definite")
     sqrt_p = (pu * np.sqrt(pe)) @ pu.conj().T
     inv_sqrt_p = (pu / np.sqrt(pe)) @ pu.conj().T
     h = sqrt_p @ np.diag(sig) @ sqrt_p
     h = 0.5 * (h + h.conj().T)
     d, u = np.linalg.eigh(h)
-    if np.min(np.abs(d)) <= 1e-10 * max(np.max(np.abs(d)), 1e-300):
+    if np.min(np.abs(d)) <= ZERO_EIGENVALUE_TOL * max(np.max(np.abs(d)), 1e-300):
         raise ValueError("A0 has an eigenvalue too close to zero")
     w = inv_sqrt_p @ u           # eigenvectors of A0 (columns)
     w_inv = u.conj().T @ sqrt_p  # rows are left eigenvectors

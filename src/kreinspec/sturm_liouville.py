@@ -21,7 +21,7 @@ from scipy.special import gammaln
 
 from .geometry import SLBox
 from .reporting import ConfigError
-from .verification import VerificationReport
+from .verification import VerificationReport, inertia_points
 
 __all__ = [
     "QuadratureError",
@@ -40,7 +40,6 @@ __all__ = [
     "sl_eigenvalues",
     "sl_certified_spectrum",
     "sl_sign_types",
-    "nonreal_spectrum",
     "containment_slack",
     "containment_report",
     "lemma_ls_check",
@@ -431,15 +430,12 @@ def sl_sign_types(disc: SLDiscretization, real_sorted) -> np.ndarray:
     not isolate one simple eigenvalue.
 
     ``real_sorted`` holds all real eigenvalues in ascending order; a and b
-    are the midpoints to the neighbours, 1.0 beyond the extreme ones.
+    are consecutive ``inertia_points`` of it: midpoints and ends.
     nu(lam) is the Sturm count of ``_sturm_counts``; at an eigenvalue, the
     branch of the pencil's eigenvalues through zero has slope
     -(S v, v)/norm(v)^2.
     """
-    lam = np.asarray(real_sorted, dtype=float)
-    points = np.concatenate((lam[:1] - 1.0, 0.5 * (lam[:-1] + lam[1:]),
-                             lam[-1:] + 1.0))
-    return np.diff(_sturm_counts(disc, points)[0])
+    return np.diff(_sturm_counts(disc, inertia_points(real_sorted))[0])
 
 
 @dataclass(frozen=True)
@@ -615,26 +611,20 @@ def sl_certified_spectrum(disc: SLDiscretization, tol: float = 1e-8) -> SLSpectr
                       iterations=iterations, residual=residual)
 
 
-def nonreal_spectrum(disc: SLDiscretization, tol: float = 1e-8) -> list:
-    """Eigenvalues with |Im| > tol (1 + |lam|), conjugate-paired and sorted.
-
-    Raises when a non-real eigenvalue has no conjugate partner within
-    ``SL_PAIRING_TOL``: the computed spectrum then breaks the symmetry the
-    operator guarantees, which signals a numerical problem.
-    """
-    evals = sl_eigenvalues(disc)
-    flagged = [complex(z) for z in evals
-               if abs(z.imag) > tol * (1.0 + abs(z))]
-    unmatched = list(flagged)
+def _pairing_defect(nonreal) -> tuple:
+    """The largest |w - conj(z)| / (1 + |z|) over the non-real eigenvalues z
+    and the partners w greedy nearest matching gives them (inf for one left
+    without a partner), and the z where it occurs."""
+    unmatched, worst = list(nonreal), (0.0, None)
     while unmatched:
         z = unmatched.pop()
-        best = min(unmatched, key=lambda w: abs(w - z.conjugate()), default=None)
-        if (best is None
-                or abs(best - z.conjugate()) > SL_PAIRING_TOL * (1.0 + abs(z))):
-            raise ArithmeticError(
-                f"non-real eigenvalue {z} has no conjugate partner")
-        unmatched.remove(best)
-    return sorted(flagged, key=lambda z: (z.real, z.imag))
+        w = min(unmatched, key=lambda w: abs(w - z.conjugate()), default=None)
+        if w is None:
+            return math.inf, z
+        unmatched.remove(w)
+        worst = max(worst, (abs(w - z.conjugate()) / (1.0 + abs(z)), z),
+                    key=lambda pair: pair[0])
+    return worst
 
 
 def containment_slack(disc: SLDiscretization, scale: float,
@@ -656,13 +646,16 @@ def containment_report(disc: SLDiscretization, p: float,
     An even potential's spectrum comes from the parity reduction, any other
     one from ``sl_certified_spectrum``.  With all n eigenvalues (parity, or
     a dense fallback) each real one beyond the box gets its
-    ``sl_sign_types`` jump.  On the certified path every real eigenvalue
-    but the W of negative T-type has (T f, f) > 0, that is sign type
-    sgn(lam), so the sign claim beyond the box holds exactly when each of
-    the W lies within |lam| <= reHalfWidth + slack; ``eigenvalues`` then
-    lists the kappa eigenvalues of non-positive type (a non-real one stands
-    for its conjugate pair), ``checks.spectrum`` the counts, and the table
-    both members of each pair.  The solver's diagnostics are left in
+    ``sl_sign_types`` jump, and the non-real ones must pair up under
+    conjugation: the largest defect goes to ``report.diagnostics``, and one
+    above ``SL_PAIRING_TOL`` raises ``ArithmeticError``.  On the certified
+    path every real eigenvalue but the W of negative T-type has
+    (T f, f) > 0, that is sign type sgn(lam), so the sign claim beyond the
+    box holds exactly when each of the W lies within
+    |lam| <= reHalfWidth + slack; ``eigenvalues`` then lists the kappa
+    eigenvalues of non-positive type (a non-real one stands for its
+    conjugate pair), ``checks.spectrum`` the counts, and the table both
+    members of each pair.  The solver's diagnostics are left in
     ``report.diagnostics`` for the run record.
     """
     q_norm = lp_norm(disc.potential, p)
@@ -715,6 +708,12 @@ def containment_report(disc: SLDiscretization, p: float,
                       key=lambda i: evals[i].real)
         jumps = dict(zip(real, sl_sign_types(disc,
                                              [evals[i].real for i in real])))
+        defect, worst = _pairing_defect(
+            [z for i, z in enumerate(evals) if i not in jumps])
+        if defect > SL_PAIRING_TOL:
+            raise ArithmeticError(f"non-real eigenvalue {worst} has no "
+                                  f"conjugate partner within SL_PAIRING_TOL")
+        report.diagnostics["pairingDefect"] = defect
         for i, z in enumerate(evals):
             if i not in jumps:
                 table.append(check_nonreal(z))

@@ -25,6 +25,7 @@ __all__ = [
     "VerificationReport",
     "EigenRecord",
     "Spectrum",
+    "inertia_points",
     "classify_spectrum",
     "fit_relative_bound",
     "region_area",
@@ -40,15 +41,6 @@ __all__ = [
 DEFAULT_B_GRID = tuple(round(0.01 * k, 2) for k in range(100))
 # resolvent_order_check's coarser grid: 0.05, 0.10, ..., 0.95
 ORDER_B_GRID = tuple(round(0.05 * k, 2) for k in range(1, 20))
-# An eigenvalue counts as non-real when |Im lam| > NONREAL_TOL (1 + |lam|)
-# kappa, kappa being the condition number of the eigenbasis (capped at 1e8).
-NONREAL_TOL = 1e-8
-# A sign test passes when (Jf, f)/norm(f)^2 exceeds SIGN_TOL in magnitude
-# and has the expected sign.
-SIGN_TOL = 1e-6
-# A real eigenvalue within CLUSTER_TOL * scale of another one has no
-# well-defined eigenvector, so its sign type is left indeterminate.
-CLUSTER_TOL = 1e-6
 # An eigenvalue within SPECTRUM_PROXIMITY_TOL * scale of a point of a block's
 # spectrum counts as inside that side's spectrum (no K-set claim is made).
 SPECTRUM_PROXIMITY_TOL = 1e-8
@@ -66,8 +58,7 @@ RESOLVENT_REL_TOL = 1e-8
 RESOLVENT_ABS_TOL = 1e-12
 # verify_tmain tests the sign type of a real eigenvalue only beyond the tight
 # region's real section s, at |Re lam| > s (1 + REAL_SECTION_SLACK)
-# + REAL_SECTION_ABS_SLACK * scale; a clustered one beyond
-# s (1 + REAL_SECTION_SLACK) is recorded as indeterminate.
+# + REAL_SECTION_ABS_SLACK * scale.
 REAL_SECTION_SLACK = 1e-6
 REAL_SECTION_ABS_SLACK = 1e-9
 
@@ -83,7 +74,7 @@ class EigenRecord:
     contained: bool
     margin: float
     kind: str  # "nonreal" | "real"
-    sign: float | None = None  # (Jf, f)/norm^2 when a sign test ran
+    sign: float | None = None  # the inertia type, +-1.0, where recorded
 
 
 @dataclass
@@ -124,9 +115,9 @@ class VerificationReport:
             EigenRecord(complex(lam), True, margin, "real", sign=sign))
 
     def check_sign(self, lam: float, sign: float, positive: bool) -> None:
-        """Sign-type test of one real eigenvalue against SIGN_TOL."""
+        """Sign-type test of one real eigenvalue's type (+-1) against 0."""
         self.sign_tested += 1
-        if not (sign > SIGN_TOL if positive else sign < -SIGN_TOL):
+        if not (sign > 0.0 if positive else sign < 0.0):
             self.sign_type_failures.append(
                 {"lambda": lam, "sign": sign,
                  "expected": "positive" if positive else "negative"})
@@ -177,6 +168,9 @@ def fit_relative_bound(t_op, s_op, b_grid=DEFAULT_B_GRID) -> list:
     return list(zip(b_grid, min_relative_bound(t_op, s_op, b_grid).tolist()))
 
 
+_leggauss_cached = lru_cache(maxsize=16)(np.polynomial.legendre.leggauss)
+
+
 def region_area(region: DiskFamilyRegion, nodes: int = 257) -> float:
     """Area of a bounded disk-family region: a single 1-D Gauss-Legendre
     quadrature of its closed-form height profile ``region.height``."""
@@ -186,11 +180,6 @@ def region_area(region: DiskFamilyRegion, nodes: int = 257) -> float:
     xs, ws = _leggauss_cached(nodes)
     mid, half = 0.5 * (xmax + xmin), 0.5 * (xmax - xmin)
     return float(2.0 * half * np.sum(ws * region.height(mid + half * xs)))
-
-
-@lru_cache(maxsize=16)
-def _leggauss_cached(nodes: int) -> tuple:
-    return np.polynomial.legendre.leggauss(nodes)
 
 
 def random_block_operator(seed: int, max_dim: int = 20,
@@ -237,18 +226,15 @@ def random_krein_problem(seed: int, max_dim: int = 20,
     sig[: int(rng.integers(1, n))] = -1.0
     rng.shuffle(sig)
 
-    def hermitian(scale):
-        w = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-        w = 0.5 * (w + w.conj().T)
-        return w * (scale / max(np.linalg.norm(w, 2), 1e-300))
-
     pe = rng.uniform(0.5, 3.0, size=n)
     q, _ = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
     p = (q * pe) @ q.conj().T
     p = 0.5 * (p + p.conj().T)
     if strength is None:
         strength = rng.uniform(0.05, 1.0)
-    w = hermitian(strength * float(np.max(pe)))
+    w = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    w = 0.5 * (w + w.conj().T)
+    w *= strength * float(np.max(pe)) / max(np.linalg.norm(w, 2), 1e-300)
     if rng.uniform() < definite_fraction:
         we = np.linalg.eigvalsh(w)
         w = w + (abs(we[0]) + 1e-3) * np.eye(n)
@@ -257,34 +243,62 @@ def random_krein_problem(seed: int, max_dim: int = 20,
 
 
 class Spectrum(NamedTuple):
-    """Eigenpairs of a dense matrix, flagged for the enclosure and sign tests."""
+    """Eigenvalues of a dense J-self-adjoint matrix with their sign types."""
 
     values: np.ndarray
-    vectors: np.ndarray
-    nonreal: np.ndarray  # per eigenvalue, see NONREAL_TOL
-    clustered: np.ndarray  # per eigenvalue, see CLUSTER_TOL
-    kappa: float  # eigenbasis condition number, capped at 1e8
+    types: np.ndarray  # +-1.0 real of that type, 0.0 non-real, NaN undecided
+    brackets: np.ndarray  # (net inertia jump, eigenvalue count) per eigenvalue
     scale: float  # max(norm_2, 1)
 
-    def sign(self, idx: int, j_sig) -> float:
-        """(Jf, f)/norm(f)^2 for the eigenvector f of eigenvalue ``idx``."""
-        f = self.vectors[:, idx]
-        return float(np.real(f.conj() @ (j_sig * f)) / np.real(f.conj() @ f))
+
+def inertia_points(values_sorted) -> np.ndarray:
+    """Where inertia is counted to type ascending real values: the midpoints
+    between neighbours, and one point 1.0 beyond each end."""
+    lam = np.asarray(values_sorted, dtype=float)
+    return np.concatenate((lam[:1] - 1.0, 0.5 * (lam[:-1] + lam[1:]),
+                           lam[-1:] + 1.0))
 
 
-def classify_spectrum(matrix) -> Spectrum:
-    """Eigenpairs of ``matrix`` with the non-real and clustered flags."""
-    evals, evecs = np.linalg.eig(matrix)
-    try:
-        kappa = min(float(np.linalg.cond(evecs)), 1e8)
-    except np.linalg.LinAlgError:
-        kappa = 1e8
-    scale = max(np.linalg.norm(matrix, 2), 1.0)
-    gaps = np.abs(evals[:, None] - evals[None, :])
-    np.fill_diagonal(gaps, np.inf)
-    return Spectrum(evals, evecs,
-                    np.abs(evals.imag) > NONREAL_TOL * (1.0 + np.abs(evals)) * kappa,
-                    gaps.min(axis=1) <= CLUSTER_TOL * scale, kappa, scale)
+def classify_spectrum(matrix, j_sig) -> Spectrum:
+    """Eigenvalues of ``matrix`` (J-self-adjoint, J = diag(j_sig)), typed by
+    inertia: nu(mu), the negative count of the Hermitian J (A - mu), jumps
+    across each real eigenvalue by the sum of the types there (Iohvidov,
+    Krein & Langer 1982).  eigvalsh counts nu at the midpoints of
+    ``inertia_points``; one within its backward error n eps norm of singular
+    is dropped, merging two brackets.  Beyond the ends nu is J's own count.
+    A bracket of m eigenvalues with jump +-m holds m real ones of that type,
+    a lone one with jump 0 is non-real, and any other is undecided."""
+    values = np.linalg.eigvals(matrix)
+    order = np.argsort(values.real, kind="stable")
+    h, j, n = j_sig[:, None] * matrix, np.diag(j_sig), values.size
+    mid = inertia_points(values.real[order])[1:-1]
+    counts, sure = [np.sum(j_sig < 0)], [True]
+    step = len(DEFAULT_B_GRID)  # stacks no larger than the bound fit's
+    for mu in np.split(mid, range(step, mid.size, step)):
+        w = np.linalg.eigvalsh(h - mu[:, None, None] * j)
+        counts.extend(np.sum(w < 0, axis=1))
+        sure.extend(np.min(np.abs(w), axis=1)
+                    > n * np.finfo(float).eps * np.max(np.abs(w), axis=1))
+    cuts = np.flatnonzero(sure + [True])
+    jump, size = np.diff(np.append(counts, np.sum(j_sig > 0))[cuts]), np.diff(cuts)
+    typed = np.where(np.abs(jump) == size, np.sign(jump),
+                     np.where((size == 1) & (jump == 0), 0.0, np.nan))
+    # the bracket of each eigenvalue, through its rank among the real parts
+    member = np.repeat(np.arange(size.size), size)[np.argsort(order)]
+    return Spectrum(values, typed[member], np.column_stack((jump, size))[member],
+                    max(np.linalg.norm(matrix, 2), 1.0))
+
+
+def _record_typed(report: VerificationReport, spec: Spectrum, idx: int,
+                  margin: float = 0.0) -> float:
+    """Record the real (or undecided) eigenvalue ``idx`` with its type and
+    return the type; an undecided one (NaN) is also recorded indeterminate."""
+    lam, sign = complex(spec.values[idx]), float(spec.types[idx])
+    report.add_real(lam, None if math.isnan(sign) else sign, margin)
+    if math.isnan(sign):
+        report.add_indeterminate(lam.real, "net inertia jump {} over {} "
+                                 "eigenvalues".format(*spec.brackets[idx]))
+    return sign
 
 
 def _select_pair(curve, center_sq_max: float) -> tuple:
@@ -299,13 +313,12 @@ def verify_block_theorem(block: BlockOperator, lambda_samples: int = 1000,
     Verified statements: every non-real eigenvalue lies where both resolvent
     factors have norm >= 1 and inside the intersection of the two fitted
     disk-family regions; real eigenvalues away from the minus-block spectrum
-    with factor norm < 1 have positive sign (Jf, f) (negative for the plus
-    side); and at sampled non-real lam with factor norm nu < 1 the full
+    with factor norm < 1 have positive type (negative for the plus side);
+    and at sampled non-real lam with factor norm nu < 1 the full
     resolvent obeys norm((S-lam)^{-1}) <= (1 + nu + nu^2)/(|Im lam| (1 - nu^2)).
     """
     rng = np.random.default_rng(seed)
     full = assemble_block(block)
-    j_sig = block_signature(block)
     d_plus = np.linalg.eigh(block.s_plus)[0]
     d_minus = np.linalg.eigh(block.s_minus)[0]
     m = block.coupling
@@ -320,22 +333,22 @@ def verify_block_theorem(block: BlockOperator, lambda_samples: int = 1000,
     region_plus = DiskFamilyRegion(RelBound(a_plus, b_plus),
                                    SpectrumModel.from_points(d_plus))
 
-    spec = classify_spectrum(full)
+    spec = classify_spectrum(full, block_signature(block))
     scale = spec.scale
 
     report = VerificationReport(
         instance={"dims": list(block.dims), "seed": seed,
                   "norms": {"s_plus": float(np.linalg.norm(block.s_plus, 2)),
                             "s_minus": float(np.linalg.norm(block.s_minus, 2)),
-                            "coupling": float(np.linalg.norm(m, 2))},
-                  "eig_condition": spec.kappa},
+                            "coupling": float(np.linalg.norm(m, 2))}},
         bounds={"a_minus": a_minus, "b_minus": b_minus,
                 "a_plus": a_plus, "b_plus": b_plus})
 
     # K-set membership per side (factor T, block S, spectrum d) and eigenvalue,
     # real ones at their real part; near d counts as inside
     sides = ((m, block.s_minus, d_minus), (m.conj().T, block.s_plus, d_plus))
-    probes = np.where(spec.nonreal, spec.values, spec.values.real)
+    nonreal = spec.types == 0.0
+    probes = np.where(nonreal, spec.values, spec.values.real)
     in_k = []
     for t_op, s_op, d_side in sides:
         gap = np.min(np.abs(d_side - probes[:, None]), axis=1)
@@ -346,7 +359,7 @@ def verify_block_theorem(block: BlockOperator, lambda_samples: int = 1000,
 
     for idx, lam in enumerate(spec.values):
         lam = complex(lam)
-        if spec.nonreal[idx]:
+        if nonreal[idx]:
             mem_minus = disk_region_membership(region_minus, lam)
             mem_plus = disk_region_membership(region_plus, lam)
             margin = max(mem_minus.margin, mem_plus.margin)
@@ -359,14 +372,10 @@ def verify_block_theorem(block: BlockOperator, lambda_samples: int = 1000,
                  "disks_minus": mem_minus.inside, "disks_plus": mem_plus.inside})
             continue
 
-        sign = spec.sign(idx, j_sig)
-        report.add_real(lam, sign)
+        sign = _record_typed(report, spec, idx)
         for inside, want_pos in ((in_k_minus[idx], True), (in_k_plus[idx], False)):
-            if inside:
-                continue  # in the side's spectrum or K set: no claim
-            if spec.clustered[idx]:
-                report.add_indeterminate(lam.real, "clustered eigenvalue")
-            else:
+            # in the side's spectrum or K set: no claim
+            if not (inside or math.isnan(sign)):
                 report.check_sign(lam.real, sign, want_pos)
 
     # resolvent bound where a factor norm nu < 1; x, y, sign drawn per sample
@@ -408,7 +417,6 @@ def verify_tmain(problem: KreinPerturbationProblem,
     tau0 = proj.tau0
     tau = tau0 if tau is None else max(float(tau), tau0)
     v_low = problem.jv_lower_bound
-    j_sig = problem.signature
 
     w_op = math.sqrt((1.0 + tau) * tau) * problem.v
     curve = [(b, 0.5 * a) for b, a in fit_relative_bound(w_op, problem.a0)]
@@ -419,22 +427,22 @@ def verify_tmain(problem: KreinPerturbationProblem,
                             "v": float(np.linalg.norm(problem.v, 2))}},
         bounds={"tau": tau, "tau0": tau0, "v": v_low})
 
-    spec = classify_spectrum(problem.a0 + problem.v)
+    spec = classify_spectrum(problem.a0 + problem.v, problem.signature)
     scale = spec.scale
-    report.instance["eig_condition"] = spec.kappa
 
     if v_low >= 0.0:
         report.bounds.update({"a": None, "b": None, "gamma": None})
         report.checks["branch"] = "jv-nonnegative"
-        for lam in spec.values:
+        for idx, lam in enumerate(spec.values):
             lam = complex(lam)
-            if abs(lam.imag) <= NONREAL_TOL * scale * spec.kappa:
-                report.add_real(lam, margin=abs(lam.imag))
+            if spec.types[idx] != 0.0:
+                _record_typed(report, spec, idx, margin=abs(lam.imag))
             else:
                 report.add_nonreal(
                     lam, False, abs(lam.imag),
                     {"lambda": [lam.real, lam.imag],
                      "reason": "nonreal spectrum though J V >= 0"})
+        report.summarize_sign_checks()
         return report
 
     best = None
@@ -462,21 +470,17 @@ def verify_tmain(problem: KreinPerturbationProblem,
 
     for idx, lam in enumerate(spec.values):
         lam = complex(lam)
-        if spec.nonreal[idx]:
+        if spec.types[idx] == 0.0:
             margin = max(disk_region_membership(r, lam).margin
                          for r in (worse, better) if r is not None)
             report.add_nonreal(lam, margin <= CONTAINMENT_SLACK * scale,
                                margin,
                                {"lambda": [lam.real, lam.imag], "margin": margin})
             continue
-        sign = spec.sign(idx, j_sig)
-        report.add_real(lam, sign)
-        if spec.clustered[idx]:
-            if abs(lam.real) > tight_section * (1.0 + REAL_SECTION_SLACK):
-                report.add_indeterminate(lam.real, "clustered eigenvalue")
-            continue
-        if abs(lam.real) > (tight_section * (1.0 + REAL_SECTION_SLACK)
-                            + REAL_SECTION_ABS_SLACK * scale):
+        sign = _record_typed(report, spec, idx)
+        if not math.isnan(sign) and abs(lam.real) > (
+                tight_section * (1.0 + REAL_SECTION_SLACK)
+                + REAL_SECTION_ABS_SLACK * scale):
             report.check_sign(lam.real, sign, lam.real > 0)
     report.checks["realSection"] = real_section
     report.summarize_sign_checks()

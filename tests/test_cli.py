@@ -136,6 +136,16 @@ class TestMatrixLabCommand:
         assert run(base + ["--jobs", "2", "--report", str(r2)]) == 0
         assert r1.read_bytes() == r2.read_bytes()
 
+    def test_fixed_seed_outcome_pinned(self, tmp_path):
+        # verdicts and the non-real count of a fixed-seed suite: a refactor
+        # of the harness must not move them
+        report = tmp_path / "lab.json"
+        assert run(["matrix-lab", "--trials", "50", "--seed", "42",
+                    "--report", str(report)]) == 0
+        aggregate = json.loads(report.read_text())["aggregate"]
+        assert (aggregate["trials"], aggregate["failures"],
+                aggregate["nonrealTotal"]) == (50, 0, 152)
+
 
 class TestPerturbCommand:
     def test_generated_suite(self, tmp_path):
@@ -145,6 +155,17 @@ class TestPerturbCommand:
         assert code == 0
         payload = json.loads(report.read_text())
         assert payload["aggregate"]["verified"] is True
+
+    def test_fixed_seed_outcome_pinned(self, tmp_path):
+        # verdicts and the non-real count of a fixed-seed suite; every
+        # report, of either branch, states its sign-type summary
+        report = tmp_path / "perturb.json"
+        assert run(["perturb", "--trials", "50", "--seed", "42",
+                    "--report", str(report)]) == 0
+        trials = json.loads(report.read_text())["trials"]
+        assert [t["verified"] for t in trials] == [True] * 50
+        assert sum(t["checks"]["nonrealCount"] for t in trials) == 54
+        assert all("signType" in t["checks"] for t in trials)
 
     def test_problem_file(self, tmp_path):
         sig = np.array([1.0, -1.0])

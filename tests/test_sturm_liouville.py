@@ -19,7 +19,6 @@ from kreinspec.sturm_liouville import (
     indicator_probe,
     lemma_ls_check,
     lp_norm,
-    nonreal_spectrum,
     sl_box,
     sl_certified_spectrum,
     sl_constants,
@@ -215,7 +214,8 @@ class TestDiscretize:
         lams = {}
         for n in (500, 1000, 2000):
             disc = discretize(q, L=20.0, n=n)
-            ups = [z for z in nonreal_spectrum(disc) if z.imag > 0 and z.real > 0]
+            ups = [z for z in _nonreal(containment_report(disc, 2.0))
+                   if z.imag > 0 and z.real > 0]
             lams[n] = max(ups, key=lambda z: z.real)
         # treat the finest run as reference; n=500 vs n=1000 errors
         ratio = abs(lams[500] - lams[2000]) / abs(lams[1000] - lams[2000])
@@ -230,18 +230,57 @@ class TestDiscretize:
         np.testing.assert_array_equal(disc.T, disc.signs[:, None] * dense)
 
 
+def _nonreal(report):
+    """The non-real eigenvalues of a report's table, sorted."""
+    return sorted((complex(row["re"], row["im"])
+                   for row in report.checks["table"]),
+                  key=lambda z: (z.real, z.imag))
+
+
 class TestNonrealSpectrum:
     def test_zero_potential_empty(self):
         disc = discretize(Potential(kind="step", depth=0.0), L=5.0, n=64)
-        assert nonreal_spectrum(disc) == []
+        report = containment_report(disc, 2.0)
+        assert _nonreal(report) == []
+        assert report.diagnostics["pairingDefect"] == 0.0
 
     def test_deep_well_produces_conjugate_pairs(self):
         disc = discretize(Potential(kind="step", depth=5.0), L=12.0, n=400)
-        nr = nonreal_spectrum(disc)
+        report = containment_report(disc, 2.0)
+        nr = _nonreal(report)
         assert nr
         assert len(nr) % 2 == 0
         for z in nr:
             assert any(abs(w - z.conjugate()) < 1e-8 * (1 + abs(z)) for w in nr)
+        assert report.diagnostics["pairingDefect"] <= 1e-8
+
+    def test_pairing_defect_above_tolerance_raises(self, monkeypatch):
+        # moving one member of a conjugate pair breaks the symmetry the
+        # operator guarantees: containment_report raises, as the CLI's
+        # numerical failure (exit 4)
+        disc = discretize(Potential(kind="step", depth=5.0), L=12.0, n=400)
+        evals = sl_eigenvalues(disc)
+        k = int(np.argmax(evals.imag))
+        moved = evals.copy()
+        moved[k] += 1e-3
+        defect = 1e-3 / (1.0 + abs(evals[k]))
+        monkeypatch.setattr(sturm_liouville, "sl_eigenvalues",
+                            lambda d, force_dense=False: moved)
+        monkeypatch.setattr(sturm_liouville, "SL_PAIRING_TOL", 2.0 * defect)
+        assert containment_report(disc, 2.0).diagnostics[
+            "pairingDefect"] == pytest.approx(defect, rel=1e-3)
+        monkeypatch.setattr(sturm_liouville, "SL_PAIRING_TOL", 0.5 * defect)
+        with pytest.raises(ArithmeticError, match="no conjugate partner"):
+            containment_report(disc, 2.0)
+
+    def test_unpaired_eigenvalue_raises(self, monkeypatch):
+        disc = discretize(Potential(kind="step", depth=5.0), L=12.0, n=400)
+        evals = sl_eigenvalues(disc)
+        lone = np.delete(evals, int(np.argmax(evals.imag)))
+        monkeypatch.setattr(sturm_liouville, "sl_eigenvalues",
+                            lambda d, force_dense=False: lone)
+        with pytest.raises(ArithmeticError, match="no conjugate partner"):
+            containment_report(disc, 2.0)
 
     def test_tabulated_run_is_deterministic(self, tmp_path):
         xs = np.linspace(-2, 2, 41)

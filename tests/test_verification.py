@@ -7,7 +7,8 @@ from kreinspec.geometry import RelBound, SpectrumModel, DiskFamilyRegion, \
     disk_region_membership
 from kreinspec import operators, verification
 from kreinspec.operators import BlockOperator, KreinPerturbationProblem, \
-    assemble_block, k_set_membership, min_relative_bound, resolvent_factor_norm
+    assemble_block, block_signature, k_set_membership, min_relative_bound, \
+    resolvent_factor_norm
 from kreinspec.verification import (
     classify_spectrum,
     fit_relative_bound,
@@ -107,17 +108,32 @@ class TestVerifyBlockTheorem:
                     mem = disk_region_membership(region, complex(lam))
                     assert mem.margin <= 1e-8 * scale
 
-    def test_clustered_eigenvalue_is_indeterminate(self):
-        # the double eigenvalue 5 has no well-defined eigenvector: both
-        # copies are reported indeterminate, while the simple -5 is tested
+    def test_same_type_cluster_is_decided(self):
+        # the double eigenvalue 5 is one bracket whose inertia jumps by +2:
+        # both copies are real of positive type and tested, as is the -5
         block = BlockOperator(np.diag([5.0, 5.0]), np.diag([-5.0]),
                               np.zeros((2, 1)))
         report = verify_block_theorem(block, lambda_samples=50, seed=0)
         assert report.verified
+        assert report.indeterminate == []
+        assert report.checks["signType"] == {"tested": 3, "failures": 0,
+                                             "indeterminate": 0}
+        assert [r.sign for r in report.eigenvalues] == [1.0, 1.0, -1.0]
+
+    def test_mixed_type_cluster_is_indeterminate(self):
+        # 5 is an eigenvalue of both types: the jump over the pair is 0, so
+        # neither is decided, and no claim is tested on them
+        block = BlockOperator(np.array([[5.0]]), np.array([[5.0]]),
+                              np.zeros((1, 1)))
+        report = verify_block_theorem(block, lambda_samples=50, seed=0)
+        assert report.verified
         assert report.indeterminate == [
-            {"lambda": 5.0, "reason": "clustered eigenvalue"}] * 2
-        assert report.checks["signType"] == {"tested": 1, "failures": 0,
+            {"lambda": 5.0,
+             "reason": "net inertia jump 0 over 2 eigenvalues"}] * 2
+        assert report.checks["signType"] == {"tested": 0, "failures": 0,
                                              "indeterminate": 2}
+        assert report.nonreal_count == 0
+        assert [r.sign for r in report.eigenvalues] == [None, None]
 
     def test_report_serializes(self):
         block = random_block_operator(11, max_dim=8)
@@ -185,20 +201,35 @@ class TestVerifyTmain:
                                      report.sign_type_failures)
         assert nonreal > 0  # the generator does exercise the enclosure branch
 
-    def test_clustered_eigenvalue_is_indeterminate(self):
+    def test_same_type_cluster_is_decided(self):
         # A0 + V = diag(9.99, 9.99, -9.99, -9.99): every eigenvalue is
-        # double and beyond the region's real section, so none is tested
+        # double and beyond the region's real section; each pair is one
+        # bracket whose inertia jumps by +-2, so all four are tested
         sig = np.array([1.0, 1.0, -1.0, -1.0])
         prob = KreinPerturbationProblem(signature=sig, a0=np.diag(sig * 10.0),
                                         v=np.diag(sig * -0.01))
         report = verify_tmain(prob)
         assert report.checks["branch"] == "enclosure"
         assert report.verified
-        assert sorted(e["lambda"] for e in report.indeterminate) == \
-            pytest.approx([-9.99, -9.99, 9.99, 9.99])
-        assert {e["reason"] for e in report.indeterminate} == \
-            {"clustered eigenvalue"}
-        assert report.checks["signType"]["tested"] == 0
+        assert report.indeterminate == []
+        assert report.checks["signType"] == {"tested": 4, "failures": 0,
+                                             "indeterminate": 0}
+        assert sorted((r.value.real, r.sign) for r in report.eigenvalues) == \
+            pytest.approx([(-9.99, -1.0), (-9.99, -1.0), (9.99, 1.0),
+                           (9.99, 1.0)])
+
+    def test_jv_nonnegative_branch_reports_types(self):
+        # J (A0 + V) is positive definite, so the type of each (real)
+        # eigenvalue is its sign; the branch records it and its summary
+        for seed in trial_seeds(8, 40):
+            prob = random_krein_problem(seed, max_dim=12, definite_fraction=1.0)
+            report = verify_tmain(prob)
+            assert report.checks["branch"] == "jv-nonnegative"
+            assert report.verified
+            assert report.checks["signType"] == {"tested": 0, "failures": 0,
+                                                 "indeterminate": 0}
+            assert [r.sign for r in report.eigenvalues] == \
+                [math.copysign(1.0, r.value.real) for r in report.eigenvalues]
 
     def test_user_tau_below_tau0_is_raised_to_tau0(self):
         prob = random_krein_problem(2, max_dim=6)
@@ -215,6 +246,64 @@ class TestVerifyTmain:
         pytest.skip("no indefinite instance found")
 
 
+class TestClassifySpectrum:
+    """Inertia types against the eigenvector quantities they replace."""
+
+    @staticmethod
+    def instance(kind, seed):
+        if kind == "block":
+            block = random_block_operator(seed, max_dim=20)
+            return assemble_block(block), block_signature(block)
+        prob = random_krein_problem(seed, max_dim=20)
+        return prob.a0 + prob.v, prob.signature
+
+    @pytest.mark.parametrize("kind", ["block", "krein"])
+    def test_types_match_eigenvector_oracle(self, kind):
+        real = nonreal = 0
+        for seed in trial_seeds(31, 60):
+            matrix, j_sig = self.instance(kind, seed)
+            spec = classify_spectrum(matrix, j_sig)
+            evals, evecs = np.linalg.eig(matrix)
+            # reference non-real rule: |Im| > 1e-8 (1 + |lam|) kappa, kappa
+            # the eigenbasis condition number capped at 1e8
+            kappa = min(float(np.linalg.cond(evecs)), 1e8)
+            flagged = np.abs(evals.imag) > 1e-8 * (1.0 + np.abs(evals)) * kappa
+            quotient = np.real(np.einsum("ij,i,ij->j", evecs.conj(), j_sig,
+                                         evecs))
+            for lam, sign in zip(spec.values, spec.types):
+                k = int(np.argmin(np.abs(evals - lam)))
+                assert abs(evals[k] - lam) <= 1e-10 * spec.scale
+                assert not np.isnan(sign), (seed, lam)  # no undecided bracket
+                assert (sign == 0.0) == flagged[k], (seed, lam)
+                if sign != 0.0:
+                    assert sign == np.sign(quotient[k]), (seed, lam)
+                    real += 1
+                else:
+                    nonreal += 1
+        assert real > 300 and nonreal > 20
+
+    def test_dropped_midpoint_merges_brackets(self):
+        # equal real parts put a midpoint on an eigenvalue, where H(mu) is
+        # singular: the bracket holds both copies and its jump decides them
+        spec = classify_spectrum(np.diag([2.0, 2.0, -1.0]),
+                                 np.array([1.0, 1.0, -1.0]))
+        assert spec.types.tolist() == [1.0, 1.0, -1.0]
+        assert spec.brackets.tolist() == [[2, 2], [2, 2], [-1, 1]]
+
+    def test_counts_over_several_stacks(self):
+        # 149 midpoints take two eigvalsh stacks; a diagonal J-self-adjoint
+        # matrix has the type of each eigenvalue in J
+        rng = np.random.default_rng(4)
+        j_sig = rng.choice([-1.0, 1.0], size=150)
+        spec = classify_spectrum(np.diag(rng.permutation(150) - 75.0), j_sig)
+        np.testing.assert_array_equal(spec.types, j_sig)
+
+    def test_inertia_points(self):
+        np.testing.assert_array_equal(verification.inertia_points([1.0, 2.0, 4.0]),
+                                      [0.0, 1.5, 3.0, 5.0])
+        assert verification.inertia_points([]).size == 0
+
+
 class TestResolventSampler:
     """verify_block_theorem's resolvent sampling replayed with scalar calls:
     the same draws (x, y, sign per sample), the same applicable count and
@@ -223,7 +312,7 @@ class TestResolventSampler:
     @staticmethod
     def replay(block, samples, seed, norm):
         full = assemble_block(block)
-        scale = classify_spectrum(full).scale
+        scale = classify_spectrum(full, block_signature(block)).scale
         rng = np.random.default_rng(seed)
         applicable, failures = 0, []
         for _ in range(samples):
