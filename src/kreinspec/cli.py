@@ -21,10 +21,10 @@ from .operators import KreinPerturbationProblem
 from .reporting import COMMAND_SCHEMAS, ConfigError, RunConfig, RunRecord, \
     artifact_version, finalize_record, load_config, matrix_from_json, \
     normalize_config, write_csv, write_json, write_report
-from .sturm_liouville import Potential, TAU0_UPPER_BOUND, \
+from .sturm_liouville import Potential, TAU0_UPPER_BOUND, TAU0_UPPER_TOL, \
     bst_region, containment_report, discretize, extremizer_probe, \
-    indicator_probe, sl_constants, tau0_hilbert_form
-from .verification import HypothesisUnmetError, random_block_operator, \
+    guard_eig_memory, indicator_probe, sl_constants, tau0_hilbert_form
+from .verification import DEFAULT_B_GRID, HypothesisUnmetError, random_block_operator, \
     random_krein_problem, trial_seeds, verify_block_theorem, verify_tmain
 
 EXIT_OK = 0
@@ -176,6 +176,10 @@ def cmd_perturb(args) -> int:
                    if not isinstance(payload, dict) or key not in payload]
         if missing:
             raise ConfigError(f"{p['problem']}: problem needs key {missing[0]!r}")
+        # the bound fit and the inertia counts each stack len(DEFAULT_B_GRID)
+        # complex n x n matrices, 48 bytes an entry with eigvalsh's workspace
+        n = np.size(payload["signature"])
+        guard_eig_memory("perturbation", n, 48 * len(DEFAULT_B_GRID) * n * n)
         problem = KreinPerturbationProblem(
             signature=np.asarray(payload["signature"], dtype=float),
             a0=matrix_from_json(payload["A0"]),
@@ -256,7 +260,7 @@ def cmd_tau0(args) -> int:
         f1, f2, support = extremizer_probe(p["X"])
         reference = None
     value = tau0_hilbert_form(f1, f2, support, rel_tol=p["rel_tol"])
-    upper_ok = value <= TAU0_UPPER_BOUND + 1e-4
+    upper_ok = value <= TAU0_UPPER_BOUND + TAU0_UPPER_TOL
     payload = {"profile": p["profile"], "X": support[1], "quotient": value,
                "upperBound": TAU0_UPPER_BOUND, "upperBoundSatisfied": upper_ok,
                "reference": reference}

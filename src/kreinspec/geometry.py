@@ -17,14 +17,15 @@ is available in closed form.  Since Im z enters g only through the additive
 term (Im z)^2, the minimizing center does not depend on Im z, and the
 region's height above x is sqrt(-min_t g(t)) at z = x: boundary polylines
 and areas use that closed form, with no bisection.  Signed margins use the
-metric form |z - t| - r(t) minimized numerically over the centers.
+metric form |z - t| - r(t), whose minimum over an interval of centers lies
+among the clipped real parts of a quartic's roots, t = 0, t = Re z and the
+endpoints: one stacked companion eigvals evaluates it for many z at once.
 """
 
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 __all__ = [
     "RelBound",
@@ -348,40 +349,29 @@ def sup_resolvent_factor_bound(bound: RelBound, spectrum: SpectrumModel,
     return math.sqrt(best)
 
 
-def _metric_margin_on_interval(region: DiskFamilyRegion, lam: complex, lo: float,
-                               hi: float) -> float:
-    """min over centers t in [lo, hi] of |lam - t| - r(t), by bounded minimization."""
-    x, y = lam.real, lam.imag
-    rho_b = region.radius_scale * region.bound.b
-
-    def h(t):
-        return math.hypot(t - x, y) - float(region.radius(t))
-
-    lead = 1.0 - rho_b
-    seed = min(max(x / lead if lead > 0 else x, lo), hi)
-    h_seed = h(seed)
-    if not math.isfinite(lo) or not math.isfinite(hi):
-        # h(t) >= (1 - sqrt(rho b)) |t| - |x| - sqrt(rho a); clip the search
-        # window where h provably exceeds the seed value
-        gate = 1.0 - math.sqrt(rho_b)
-        reach = (abs(h_seed) + abs(x) + math.sqrt(region.radius_scale * region.bound.a)
-                 + 1.0) / gate
-        lo = max(lo, seed - reach)
-        hi = min(hi, seed + reach)
-    if hi - lo < 1e-300:
-        return h_seed
-    res = minimize_scalar(h, bounds=(lo, hi), method="bounded",
-                          options={"xatol": 1e-12 * (1.0 + abs(lo) + abs(hi))})
-    best = min(h_seed, h(lo), h(hi), float(res.fun))
-    # bounded Brent can miss a second basin; a coarse scan guards against it
-    ts = np.linspace(lo, hi, 33)
-    scan = np.hypot(ts - x, y) - region.radius(ts)
-    k = int(np.argmin(scan))
-    if scan[k] < best:
-        res2 = minimize_scalar(h, bounds=(ts[max(k - 1, 0)], ts[min(k + 1, 32)]),
-                               method="bounded", options={"xatol": 1e-12 * (1.0 + abs(lo) + abs(hi))})
-        best = min(best, float(res2.fun))
-    return best
+def _metric_margin_on_interval(region: DiskFamilyRegion, x, y, lo: float, hi: float):
+    """Exact min over centers t in [lo, hi] of h(t) = |x + iy - t| - r(t),
+    vectorized over x and y.  Its smooth critical points are real roots of
+    (t - x)^2 (a + b t^2) - rho b^2 t^2 ((t - x)^2 + y^2) (h' = 0, squared); the
+    candidates are the real parts of all roots, t = 0 (the kink of r at a = 0),
+    t = x and the finite ends, clipped into [lo, hi]: none undershoots, and
+    unbounded tails grow since rho b < 1 there."""
+    a, b, rho = region.bound.a, region.bound.b, region.radius_scale
+    c = 1.0 - rho * b
+    coeffs = [b * c, -2.0 * b * c * x, a + b * x * x - rho * b * b * (x * x + y * y),
+              -2.0 * a * x, a * x * x][0 if c else 2:]  # a quadratic at rho b = 1
+    coeffs = np.stack(np.broadcast_arrays(*coeffs), axis=-1)
+    deg = coeffs.shape[-1] - 1
+    # a zero leading coefficient leaves a zero companion: the real root is then
+    # t = x (b = 0), or x / 2, spurious (rho b = 1, a = b y^2, h' = -x / |lam - t|)
+    companion = np.zeros(coeffs.shape[:-1] + (deg, deg))
+    np.divide(-coeffs[..., 1:], coeffs[..., :1], out=companion[..., 0, :],
+              where=coeffs[..., :1] != 0.0)
+    companion[..., range(1, deg), range(deg - 1)] = 1.0
+    ends = [np.full_like(x, e) for e in (lo, hi) if math.isfinite(e)]
+    t = np.concatenate([np.stack([np.zeros_like(x), x] + ends, axis=-1),
+                        np.linalg.eigvals(companion).real], axis=-1).clip(lo, hi)
+    return np.min(np.hypot(t - x[..., None], y[..., None]) - region.radius(t), axis=-1)
 
 
 def _min_g(region: DiskFamilyRegion, x, y=0.0):
@@ -406,30 +396,25 @@ def _min_g(region: DiskFamilyRegion, x, y=0.0):
     return best
 
 
-def disk_region_membership(region: DiskFamilyRegion, lam: complex,
-                           slack: float = 0.0) -> Membership:
-    """Decide lam in region, with a signed metric margin.
+def disk_region_membership(region: DiskFamilyRegion, lam) -> Membership:
+    """Decide lam in region, with a signed metric margin, for a scalar lam
+    (bool and float) or an array of lam (arrays of each).
 
     The inside/outside decision uses the square-root-free polynomial g(t)
-    (exact for the closed region, the default ``slack = 0``); the margin is
-    the minimum of |lam - t| - r(t) over the centers, so margin <= 0 iff
-    inside.  A positive ``slack`` moves the decision to the metric margin,
-    accepting points within that distance of the region.
+    (exact for the closed region); the margin is the exact minimum of
+    |lam - t| - r(t) over the centers, so margin <= 0 iff inside.
     """
-    lam = complex(lam)
-    margin = math.inf
+    lam = np.asarray(lam, dtype=complex)
+    x, y = lam.real, lam.imag
+    margin = np.full(lam.shape, np.inf)
     for p in region.centers.points:
-        margin = min(margin, abs(lam - p) - float(region.radius(p)))
+        margin = np.minimum(margin, np.hypot(x - p, y) - region.radius(p))
     for lo, hi in region.centers.intervals:
-        margin = min(margin, _metric_margin_on_interval(region, lam, lo, hi))
-    inside = bool(_min_g(region, lam.real, lam.imag) <= 0.0)
-    if inside and margin > 0.0:
-        margin = 0.0
-    elif not inside and margin < 0.0:
-        margin = 0.0
-    if slack > 0.0:
-        inside = margin <= slack
-    return Membership(inside=inside, margin=margin)
+        margin = np.minimum(margin, _metric_margin_on_interval(region, x, y, lo, hi))
+    inside = _min_g(region, x, y) <= 0.0
+    margin = np.where(inside == (margin > 0.0), 0.0, margin)
+    return (Membership(bool(inside), float(margin)) if lam.ndim == 0
+            else Membership(inside, margin))
 
 
 def hull_membership(bound: RelBound, lam: complex) -> bool:

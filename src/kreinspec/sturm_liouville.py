@@ -47,6 +47,7 @@ __all__ = [
     "indicator_probe",
     "extremizer_probe",
     "TAU0_UPPER_BOUND",
+    "TAU0_UPPER_TOL",
     "SL_PAIRING_TOL",
     "LEMMA_SLACK",
     "LEMMA_QUAD_TOL",
@@ -54,6 +55,7 @@ __all__ = [
     "SL_BRACKET_WIDTH",
     "SL_MAX_ITERATIONS",
     "DENSE_EIG_MAX_BYTES",
+    "guard_eig_memory",
 ]
 
 
@@ -64,6 +66,9 @@ class QuadratureError(ArithmeticError):
 SQRT2 = math.sqrt(2.0)
 # sup of the Rayleigh quotient of the involution form: 3 + 2 sqrt(2)
 TAU0_UPPER_BOUND = 3.0 + 2.0 * SQRT2
+# tau0 reports the bound satisfied when its quotient is at most TAU0_UPPER_BOUND
+# + TAU0_UPPER_TOL, an absolute allowance for tau0_hilbert_form's quadrature.
+TAU0_UPPER_TOL = 1e-4
 
 # Decision tolerances of the pipeline (README, "Scope notes").
 # A non-real eigenvalue's conjugate partner must lie within
@@ -357,7 +362,7 @@ def discretize(q: Potential, L: float = 30.0, n: int = 4000) -> SLDiscretization
                             q_values=q.values(x), signs=np.sign(x))
 
 
-def _guard_eig_memory(path: str, n: int, need: int) -> None:
+def guard_eig_memory(path: str, n: int, need: int) -> None:
     """Refuse an eig whose working set of ``need`` bytes exceeds
     ``DENSE_EIG_MAX_BYTES``, before anything is allocated."""
     if need > DENSE_EIG_MAX_BYTES:
@@ -376,7 +381,7 @@ def _parity_eigenvalues(disc: SLDiscretization) -> np.ndarray:
     leading n/2 block of A up to one corner entry.  B, C and B C are live
     together, 6 n^2 bytes; B and C are freed before the eig of B C.
     """
-    _guard_eig_memory("parity", disc.n, 6 * disc.n**2)
+    guard_eig_memory("parity", disc.n, 6 * disc.n**2)
     m = disc.n // 2
     main, upper, lower = disc.diagonals
     corner = upper[m - 1]  # entry A[m-1, m]
@@ -397,7 +402,7 @@ def sl_eigenvalues(disc: SLDiscretization, force_dense: bool = False) -> np.ndar
     exceed ``DENSE_EIG_MAX_BYTES`` raises ``ConfigError`` before it starts."""
     if disc.parity_symmetric and not force_dense:
         return _parity_eigenvalues(disc)
-    _guard_eig_memory("dense", disc.n, 16 * disc.n**2)
+    guard_eig_memory("dense", disc.n, 16 * disc.n**2)
     return np.linalg.eigvals(disc.A)
 
 

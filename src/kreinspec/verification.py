@@ -357,19 +357,21 @@ def verify_block_theorem(block: BlockOperator, lambda_samples: int = 1000,
         in_k.append(inside.tolist())
     in_k_minus, in_k_plus = in_k
 
+    mem_minus, mem_plus = (disk_region_membership(r, spec.values[nonreal])
+                           for r in (region_minus, region_plus))
+    disks = iter(zip(np.maximum(mem_minus.margin, mem_plus.margin).tolist(),
+                     mem_minus.inside.tolist(), mem_plus.inside.tolist()))
     for idx, lam in enumerate(spec.values):
         lam = complex(lam)
         if nonreal[idx]:
-            mem_minus = disk_region_membership(region_minus, lam)
-            mem_plus = disk_region_membership(region_plus, lam)
-            margin = max(mem_minus.margin, mem_plus.margin)
+            margin, disks_minus, disks_plus = next(disks)
             contained = (in_k_minus[idx] and in_k_plus[idx]
                          and margin <= CONTAINMENT_SLACK * scale)
             report.add_nonreal(
                 lam, contained, margin,
                 {"lambda": [lam.real, lam.imag],
                  "k_minus": in_k_minus[idx], "k_plus": in_k_plus[idx],
-                 "disks_minus": mem_minus.inside, "disks_plus": mem_plus.inside})
+                 "disks_minus": disks_minus, "disks_plus": disks_plus})
             continue
 
         sign = _record_typed(report, spec, idx)
@@ -468,11 +470,13 @@ def verify_tmain(problem: KreinPerturbationProblem,
     tight_section = gamma + math.sqrt(tight.radius_scale
                                       * (a_sel + b_sel * gamma * gamma))
 
+    nonreal = spec.types == 0.0
+    margins = iter(np.max([disk_region_membership(r, spec.values[nonreal]).margin
+                           for r in (worse, better) if r is not None], axis=0).tolist())
     for idx, lam in enumerate(spec.values):
         lam = complex(lam)
-        if spec.types[idx] == 0.0:
-            margin = max(disk_region_membership(r, lam).margin
-                         for r in (worse, better) if r is not None)
+        if nonreal[idx]:
+            margin = next(margins)
             report.add_nonreal(lam, margin <= CONTAINMENT_SLACK * scale,
                                margin,
                                {"lambda": [lam.real, lam.imag], "margin": margin})

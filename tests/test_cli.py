@@ -195,6 +195,24 @@ class TestPerturbCommand:
                     "--report", str(tmp_path / "r.json")])
         assert code == 2
 
+    def test_problem_file_memory_guard_exit_two(self, tmp_path, monkeypatch,
+                                                capsys):
+        # a 3 x 3 file's estimate is 48 * 100 * 9 bytes: just above the limit,
+        # it is refused before any solve and no report is written
+        monkeypatch.setattr(sturm_liouville, "DENSE_EIG_MAX_BYTES", 48 * 100 * 9 - 1)
+        sig = np.array([1.0, -1.0, 1.0])
+        problem = {"signature": sig.tolist(),
+                   "A0": matrix_to_json(sig[:, None] * np.diag([2.0, 1.0, 3.0])),
+                   "V": matrix_to_json(sig[:, None] * np.diag([0.1, -0.2, 0.0]))}
+        path = tmp_path / "problem.json"
+        path.write_text(json.dumps(problem))
+        report = tmp_path / "r.json"
+        assert run(["perturb", "--problem", str(path), "--report", str(report)]) == 2
+        assert "DENSE_EIG_MAX_BYTES" in capsys.readouterr().err
+        assert not report.exists()
+        monkeypatch.setattr(sturm_liouville, "DENSE_EIG_MAX_BYTES", 48 * 100 * 9)
+        assert run(["perturb", "--problem", str(path), "--report", str(report)]) == 0
+
     @pytest.mark.parametrize("payload, key", [
         ({"signature": [1, -1], "V": matrix_to_json(np.zeros((2, 2)))}, "A0"),
         ([1, -1], "signature"),
