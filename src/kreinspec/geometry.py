@@ -37,6 +37,7 @@ __all__ = [
     "phi",
     "phi_extrema",
     "sup_resolvent_factor_bound",
+    "disk_family_heights",
     "disk_region_membership",
     "hull_membership",
     "prior_hull_membership",
@@ -44,6 +45,7 @@ __all__ = [
     "prior_hull_height",
     "hull_tangency",
     "smallerb_threshold",
+    "tmain_worse",
     "tmain_regions",
     "boundary_polyline",
     "region_to_json",
@@ -179,8 +181,7 @@ class DiskFamilyRegion:
 
     def height(self, x):
         """Height of the region above abscissa x (vectorized), 0 off its real section."""
-        # 0.0 - g rather than -g: a boundary-exact g = 0 gives +0.0, not -0.0
-        return np.sqrt(np.maximum(0.0 - _min_g(self, x), 0.0))
+        return disk_family_heights([self], np.asarray(x, dtype=float)[None])[0]
 
     @property
     def real_extent(self) -> tuple:
@@ -374,26 +375,56 @@ def _metric_margin_on_interval(region: DiskFamilyRegion, x, y, lo: float, hi: fl
     return np.min(np.hypot(t - x[..., None], y[..., None]) - region.radius(t), axis=-1)
 
 
+def _segment_min_g(a, b, rho, lo, hi, x, y=0.0):
+    """Exact min over centers t in [lo, hi] of g(t) = (t - x)^2 + y^2
+    - rho (a + b t^2), broadcasting over all arguments; a point center p is
+    the interval [p, p].
+
+    The convex case (lead = 1 - rho b > 0) has its minimum at the clamped
+    vertex x / lead; otherwise g is concave (or linear) in t and the minimum
+    sits at an endpoint, finite because unbounded centers with rho b >= 1
+    are rejected.
+    """
+    convex = 1.0 - rho * b > 0.0
+    vertex = np.clip(x / np.where(convex, 1.0 - rho * b, 1.0), lo, hi)
+    centers = ([vertex] if np.all(convex) else
+               [np.where(convex, vertex, lo), np.where(convex, vertex, hi)])
+    return np.minimum.reduce([(t - x) ** 2 + y * y - rho * (a + b * t * t)
+                              for t in centers])
+
+
 def _min_g(region: DiskFamilyRegion, x, y=0.0):
     """Exact min over all centers of g(t) = |x + iy - t|^2 - rho (a + b t^2),
-    vectorized over x.
-
-    On an interval the convex case (lead = 1 - rho b > 0) has its minimum at
-    the clamped vertex x / lead; otherwise g is concave (or linear) in t and
-    the minimum sits at an endpoint, finite because unbounded centers with
-    rho b >= 1 are rejected.
-    """
+    vectorized over x."""
     a, b = region.bound.a, region.bound.b
     rho = region.radius_scale
     x = np.asarray(x, dtype=float)
     best = np.full(x.shape, np.inf)
     for p in region.centers.points:
         best = np.minimum(best, np.hypot(x - p, y) ** 2 - rho * (a + b * p * p))
-    lead = 1.0 - rho * b
     for lo, hi in region.centers.intervals:
-        for t in ([np.clip(x / lead, lo, hi)] if lead > 0.0 else [lo, hi]):
-            best = np.minimum(best, (t - x) ** 2 + y * y - rho * (a + b * t * t))
+        best = np.minimum(best, _segment_min_g(a, b, rho, lo, hi, x, y))
     return best
+
+
+def disk_family_heights(regions, x):
+    """Heights of a stack of disk-family regions: row k of the result is
+    region k's height above the abscissae in row k of ``x``, 0 off its real
+    section.  All rows are one broadcast evaluation of ``_segment_min_g``
+    over the regions' intervals and points (padded to a common count by
+    repeating a region's first one, which leaves its minimum unchanged)."""
+    x = np.asarray(x, dtype=float)
+    tail = (1,) * (x.ndim - 1)
+    segments = [r.centers.intervals + tuple((p, p) for p in r.centers.points)
+                for r in regions]
+    width = max(map(len, segments))
+    ends = np.array([s + s[:1] * (width - len(s)) for s in segments])
+    params = np.array([(r.bound.a, r.bound.b, r.radius_scale) for r in regions])
+    lo, hi = (ends[..., k].reshape(ends.shape[:2] + tail) for k in (0, 1))
+    a, b, rho = (params[:, k].reshape((-1, 1) + tail) for k in range(3))
+    g = _segment_min_g(a, b, rho, lo, hi, x[:, None])
+    # 0.0 - g rather than -g: a boundary-exact g = 0 gives +0.0, not -0.0
+    return np.sqrt(np.maximum(0.0 - np.min(g, axis=1), 0.0))
 
 
 def disk_region_membership(region: DiskFamilyRegion, lam) -> Membership:
@@ -459,15 +490,9 @@ def smallerb_threshold(bound: RelBound, gamma: float) -> float:
     return gamma + math.sqrt(gamma * gamma + bound.a / bound.b)
 
 
-def tmain_regions(a: float, b: float, tau: float, v: float) -> dict:
-    """Enclosure data for a relatively bounded perturbation of a definitizable
-    diagonal part: half-width gamma and the two disk-family regions.
-
-    gamma = min( sqrt((1+tau) a / (2 tau)), -(1+tau) v / 2 ) with v < 0 the
-    lower bound of the perturbation in the indefinite inner product.  The
-    plain region uses radii sqrt(a + b t^2); the sharper region exists iff
-    b < (tau-1)/(2 tau) and rescales the radii by (1+tau)/(2 tau (1-b)).
-    """
+def tmain_worse(a: float, b: float, tau: float, v: float) -> tuple:
+    """The half-width gamma and the plain ("worse") region of
+    ``tmain_regions``, without its sharper companion."""
     bound = RelBound(a, b)
     if not (math.isfinite(tau) and tau >= 1.0):
         raise ValueError(f"tau >= 1 required, got {tau}")
@@ -477,10 +502,22 @@ def tmain_regions(a: float, b: float, tau: float, v: float) -> dict:
     gamma = min(math.sqrt((1.0 + tau) * a / (2.0 * tau)), -(1.0 + tau) * v / 2.0)
     centers = (SpectrumModel.from_points([0.0]) if gamma == 0.0
                else SpectrumModel.interval(-gamma, gamma))
-    worse = DiskFamilyRegion(bound=bound, centers=centers, radius_scale=1.0)
+    return gamma, DiskFamilyRegion(bound=bound, centers=centers, radius_scale=1.0)
+
+
+def tmain_regions(a: float, b: float, tau: float, v: float) -> dict:
+    """Enclosure data for a relatively bounded perturbation of a definitizable
+    diagonal part: half-width gamma and the two disk-family regions.
+
+    gamma = min( sqrt((1+tau) a / (2 tau)), -(1+tau) v / 2 ) with v < 0 the
+    lower bound of the perturbation in the indefinite inner product.  The
+    plain region uses radii sqrt(a + b t^2); the sharper region exists iff
+    b < (tau-1)/(2 tau) and rescales the radii by (1+tau)/(2 tau (1-b)).
+    """
+    gamma, worse = tmain_worse(a, b, tau, v)
     better = None
     if b < (tau - 1.0) / (2.0 * tau):
-        better = DiskFamilyRegion(bound=bound, centers=centers,
+        better = DiskFamilyRegion(bound=worse.bound, centers=worse.centers,
                                   radius_scale=(1.0 + tau) / (2.0 * tau * (1.0 - b)))
     return {"gamma": gamma, "worse": worse, "better": better}
 

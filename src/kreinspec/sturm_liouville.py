@@ -13,11 +13,8 @@ import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
-import mpmath as mp
 import numpy as np
-from scipy.integrate import quad
 from scipy.linalg import eig, eigh_tridiagonal, solve_banded
-from scipy.special import gammaln
 
 from .geometry import SLBox
 from .reporting import ConfigError
@@ -57,6 +54,14 @@ __all__ = [
     "DENSE_EIG_MAX_BYTES",
     "guard_eig_memory",
 ]
+
+
+def quad(*args, **kwargs):
+    """``scipy.integrate.quad``, imported on first use (it is slow to load);
+    the quadratures look this name up at call time, so it can be replaced."""
+    from scipy.integrate import quad as scipy_quad
+
+    return scipy_quad(*args, **kwargs)
 
 
 class QuadratureError(ArithmeticError):
@@ -126,6 +131,8 @@ def sl_constants(p: float) -> SLConstants:
     of the same size, so everything is evaluated in 50-digit arithmetic and
     rounded once at the end; plain doubles shed digits for large p.
     """
+    import mpmath as mp  # imported on first use: it is slow to load
+
     p = float(p)
     if not (math.isfinite(p) and p >= 2.0):
         raise ValueError(f"p >= 2 (finite) required, got {p}")
@@ -280,6 +287,8 @@ def lp_norm(q: Potential, p: float) -> float:
     if q.kind == "gaussian":
         return q.depth * (q.width * math.sqrt(math.pi / p)) ** (1.0 / p)
     if q.kind == "lorentzian":
+        from scipy.special import gammaln  # imported on first use
+
         log_int = (math.log(q.width) + 0.5 * math.log(math.pi)
                    + gammaln(p - 0.5) - gammaln(p))
         return q.depth * math.exp(log_int / p)

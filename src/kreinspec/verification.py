@@ -15,7 +15,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .geometry import DiskFamilyRegion, RelBound, SpectrumModel, \
-    disk_region_membership, region_to_json, smallerb_threshold, tmain_regions
+    disk_family_heights, disk_region_membership, region_to_json, \
+    smallerb_threshold, tmain_regions, tmain_worse
 from .operators import BlockOperator, KreinPerturbationProblem, assemble_block, \
     block_signature, k_set_membership, min_relative_bound, \
     resolvent_factor_norm, resolvent_norm, spectral_projections
@@ -61,6 +62,11 @@ RESOLVENT_ABS_TOL = 1e-12
 # + REAL_SECTION_ABS_SLACK * scale.
 REAL_SECTION_SLACK = 1e-6
 REAL_SECTION_ABS_SLACK = 1e-9
+# resolvent_order_check takes its growth constant over the inner sample
+# points with |Im lam| > GROWTH_SAMPLE_MIN_IM only (a tiny threshold can put
+# some next to the real axis); it picks the samples of a reported number and
+# decides no verdict.
+GROWTH_SAMPLE_MIN_IM = 1e-6
 
 
 class HypothesisUnmetError(ValueError):
@@ -171,15 +177,23 @@ def fit_relative_bound(t_op, s_op, b_grid=DEFAULT_B_GRID) -> list:
 _leggauss_cached = lru_cache(maxsize=16)(np.polynomial.legendre.leggauss)
 
 
-def region_area(region: DiskFamilyRegion, nodes: int = 257) -> float:
-    """Area of a bounded disk-family region: a single 1-D Gauss-Legendre
-    quadrature of its closed-form height profile ``region.height``."""
-    if not region.centers.bounded:
-        return math.inf
-    xmin, xmax = region.real_extent
-    xs, ws = _leggauss_cached(nodes)
-    mid, half = 0.5 * (xmax + xmin), 0.5 * (xmax - xmin)
-    return float(2.0 * half * np.sum(ws * region.height(mid + half * xs)))
+def region_area(regions, nodes: int = 257):
+    """Area of a disk-family region (a float, inf when its centers are
+    unbounded), or an array of the areas of a sequence of regions: a 1-D
+    Gauss-Legendre quadrature of each closed-form height profile, all rows
+    evaluated on one stacked (m, nodes) grid by ``disk_family_heights``."""
+    single = isinstance(regions, DiskFamilyRegion)
+    regions = [regions] if single else list(regions)
+    areas = np.full(len(regions), math.inf)
+    bounded = [k for k, r in enumerate(regions) if r.centers.bounded]
+    if bounded:
+        xmin, xmax = np.array([regions[k].real_extent for k in bounded]).T
+        xs, ws = _leggauss_cached(nodes)
+        mid, half = 0.5 * (xmax + xmin), 0.5 * (xmax - xmin)
+        heights = disk_family_heights([regions[k] for k in bounded],
+                                      mid[:, None] + half[:, None] * xs)
+        areas[bounded] = 2.0 * half * np.sum(ws * heights, axis=1)
+    return float(areas[0]) if single else areas
 
 
 def random_block_operator(seed: int, max_dim: int = 20,
@@ -306,6 +320,43 @@ def _select_pair(curve, center_sq_max: float) -> tuple:
     return min(curve, key=lambda ba: ba[1] + ba[0] * center_sq_max)
 
 
+def _resolvent_samples(rng: np.random.Generator, count: int,
+                       scale: float) -> np.ndarray:
+    """``count`` points complex(rng.uniform(-2 scale, 2 scale),
+    rng.uniform(1e-3 scale, 2 scale) * rng.choice([-1.0, 1.0])), bit for
+    bit the draws of that scalar loop, decoded from one ``random_raw`` pass.
+
+    Each two samples take five PCG64 words: x, y, a word whose low 32 bits
+    are the first choice's draw, x, y; the second choice takes the buffered
+    high half.  A double is (w >> 11) 2^-53, uniform(lo, hi) is
+    lo + (hi - lo) d, and the choice picks +1.0 when bit 31 of its 32-bit
+    draw is set (Lemire's bounded draw on [0, 1]).  The generator is left
+    in the loop's final state: an odd count leaves the last high half
+    buffered.  Raises ``ValueError`` for any other bit generator, or one
+    holding a buffered uint32, whose stream this layout does not decode.
+    """
+    bitgen = rng.bit_generator
+    if not isinstance(bitgen, np.random.PCG64) or bitgen.state["has_uint32"]:
+        raise ValueError("stream-exact samples need a PCG64 generator with "
+                         "no buffered uint32")
+    pairs, odd = divmod(count, 2)
+    words = np.append(bitgen.random_raw(5 * pairs + 3 * odd),
+                      np.zeros(2 * odd, dtype=np.uint64)).reshape(-1, 5)
+    unit = (words >> np.uint64(11)).astype(float) * 2.0**-53
+    x_lo, y_lo = -2.0 * scale, 1e-3 * scale
+    x = x_lo + (2.0 * scale - x_lo) * unit[:, [0, 3]].ravel()[:count]
+    y = y_lo + (2.0 * scale - y_lo) * unit[:, [1, 4]].ravel()[:count]
+    bits = np.column_stack((words[:, 2] >> np.uint64(31),
+                            words[:, 2] >> np.uint64(63))) & np.uint64(1)
+    lams = np.empty(count, dtype=complex)
+    lams.real, lams.imag = x, y * np.where(bits.ravel()[:count], 1.0, -1.0)
+    if count:
+        state = bitgen.state
+        state.update(has_uint32=odd, uinteger=int(words[-1, 2] >> np.uint64(32)))
+        bitgen.state = state
+    return lams
+
+
 def verify_block_theorem(block: BlockOperator, lambda_samples: int = 1000,
                          seed: int = 0) -> VerificationReport:
     """Check the block-matrix enclosure on one instance.
@@ -380,11 +431,8 @@ def verify_block_theorem(block: BlockOperator, lambda_samples: int = 1000,
             if not (inside or math.isnan(sign)):
                 report.check_sign(lam.real, sign, want_pos)
 
-    # resolvent bound where a factor norm nu < 1; x, y, sign drawn per sample
-    lams = np.array([complex(rng.uniform(-2.0 * scale, 2.0 * scale),
-                             rng.uniform(1e-3 * scale, 2.0 * scale)
-                             * rng.choice([-1.0, 1.0]))
-                     for _ in range(lambda_samples)])
+    # resolvent bound where a factor norm nu < 1
+    lams = _resolvent_samples(rng, lambda_samples, scale)
     nu = np.stack([resolvent_factor_norm(t, s, lams) for t, s, _ in sides], axis=1)
     applicable = nu < 1.0 - APPLICABILITY_MARGIN
     res = np.zeros(lambda_samples)
@@ -447,13 +495,10 @@ def verify_tmain(problem: KreinPerturbationProblem,
         report.summarize_sign_checks()
         return report
 
-    best = None
-    for b, a in curve:
-        regions = tmain_regions(a, b, tau, v_low)
-        area = region_area(regions["worse"])
-        if best is None or area < best[0]:
-            best = (area, b, a, regions)
-    _, b_sel, a_sel, regions = best
+    # the pair whose plain region has least area; argmin keeps the first
+    b_sel, a_sel = curve[int(np.argmin(region_area(
+        [tmain_worse(a, b, tau, v_low)[1] for b, a in curve])))]
+    regions = tmain_regions(a_sel, b_sel, tau, v_low)
     worse, better, gamma = regions["worse"], regions["better"], regions["gamma"]
     report.bounds.update({"a": a_sel, "b": b_sel, "gamma": gamma})
     report.checks["branch"] = "enclosure"
@@ -529,7 +574,7 @@ def resolvent_order_check(block: BlockOperator, samples: int = 1000,
     failures = [{"lambda": [lam.real, lam.imag], "norm": float(r), "cap": float(c)}
                 for lam, r, c in zip(lams, res, cap)
                 if r > c * (1.0 + RESOLVENT_REL_TOL)]
-    inners = inners[np.abs(inners.imag) > 1e-6]
+    inners = inners[np.abs(inners.imag) > GROWTH_SAMPLE_MIN_IM]
     m_growth = float(np.max(resolvent_norm(full, inners) * inners.imag**2
                             / (1.0 + np.abs(inners)) ** 2, initial=0.0))
     return {"threshold": thr, "a": a_sel, "b": b_sel, "gamma": gamma,

@@ -1,5 +1,9 @@
 import math
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -690,3 +694,19 @@ class TestTau0HilbertForm:
     def test_zero_probe_rejected(self):
         with pytest.raises(ValueError):
             tau0_hilbert_form(lambda x: np.zeros_like(x), None, (1.0, 2.0))
+
+
+class TestLazyImports:
+    def test_import_loads_no_quadrature_module(self):
+        # scipy.integrate, scipy.special and mpmath load on first use only
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        probe = ("import sys, kreinspec; print(sorted(name for name in "
+                 "('scipy.integrate', 'scipy.special', 'mpmath') "
+                 "if name in sys.modules))")
+        done = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                              text=True, timeout=120, check=True,
+                              env=dict(os.environ, PYTHONPATH=src))
+        assert done.stdout.strip() == "[]"
+
+    def test_quad_forwards_to_scipy(self):
+        assert sturm_liouville.quad(math.cos, 0.0, 1.0) == quad(math.cos, 0.0, 1.0)

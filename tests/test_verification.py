@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 
 from kreinspec.geometry import RelBound, SpectrumModel, DiskFamilyRegion, \
-    disk_region_membership
+    disk_region_membership, tmain_worse
 from kreinspec import operators, verification
 from kreinspec.operators import BlockOperator, KreinPerturbationProblem, \
     assemble_block, block_signature, k_set_membership, min_relative_bound, \
-    resolvent_factor_norm
+    resolvent_factor_norm, spectral_projections
 from kreinspec.verification import (
     classify_spectrum,
     fit_relative_bound,
@@ -52,6 +52,75 @@ class TestRegionArea:
             hits += 1
         mc = hits / n * (xmax - xmin) * 2 * ymax
         assert region_area(region) == pytest.approx(mc, rel=0.05)
+
+
+class TestStackedRegionArea:
+    """region_area over a sequence of regions: one stacked evaluation whose
+    areas equal the one-region calls bit for bit."""
+
+    @staticmethod
+    def bits(values):
+        return np.asarray(values, dtype=float).view(np.uint64)
+
+    @staticmethod
+    def candidates(problem):
+        """verify_tmain's 100 candidate plain regions and its fitted curve."""
+        tau = spectral_projections(problem).tau0
+        w_op = math.sqrt((1.0 + tau) * tau) * problem.v
+        curve = [(b, 0.5 * a) for b, a in fit_relative_bound(w_op, problem.a0)]
+        return curve, [tmain_worse(a, b, tau, problem.jv_lower_bound)[1]
+                       for b, a in curve]
+
+    def test_enclosure_candidates_match_single_calls(self):
+        checked = 0
+        for seed in trial_seeds(17, 80):
+            problem = random_krein_problem(seed)
+            if problem.jv_lower_bound >= 0.0:
+                continue
+            curve, regions = self.candidates(problem)
+            single = [region_area(r) for r in regions]
+            np.testing.assert_array_equal(self.bits(region_area(regions)),
+                                          self.bits(single))
+            # verify_tmain keeps the first least-area pair, as a strict-<
+            # scan over the single areas does
+            first = min(range(len(single)), key=single.__getitem__)
+            bounds = verify_tmain(problem).bounds
+            assert (bounds["b"], bounds["a"]) == curve[first]
+            checked += 1
+        assert checked >= 50
+
+    def test_point_center_matches_single_calls(self):
+        # a = 0 forces gamma = 0: the centers are the single point 0, whose
+        # disk has radius 0; the same center set with a > 0 has area pi a
+        regions = [tmain_worse(0.0, b, 3.0, -0.5)[1] for b in (0.0, 0.3, 0.9)]
+        assert all(r.centers.points == (0.0,) for r in regions)
+        regions += [DiskFamilyRegion(RelBound(a, 0.2), regions[0].centers,
+                                     radius_scale=rho)
+                    for a, rho in ((1e-6, 1.0), (1.0, 1.0), (40.0, 2.5))]
+        regions += [tmain_worse(a, 0.2, 2.0, -1e-3)[1] for a in (1e-6, 1.0)]
+        single = [region_area(r) for r in regions]
+        assert single[:3] == [0.0] * 3
+        assert single[3:6] == pytest.approx([math.pi * 1e-6, math.pi,
+                                             math.pi * 100.0], rel=1e-6)
+        np.testing.assert_array_equal(self.bits(region_area(regions)),
+                                      self.bits(single))
+
+    def test_mixed_center_sets_and_unbounded(self):
+        bound = RelBound(2.0, 0.3)
+        regions = [
+            DiskFamilyRegion(bound, SpectrumModel(intervals=((-1.0, 2.0),),
+                                                  points=(-4.0, 5.0))),
+            DiskFamilyRegion(bound, SpectrumModel.half_line_below(1.0)),
+            DiskFamilyRegion(bound, SpectrumModel.from_points([0.5, 3.0, 9.0]),
+                             radius_scale=5.0),  # rho b > 1: concave g
+            DiskFamilyRegion(RelBound(4.0, 0.0), SpectrumModel.from_points([1.0])),
+        ]
+        areas = region_area(regions)
+        assert math.isinf(areas[1])
+        np.testing.assert_array_equal(self.bits(areas),
+                                      self.bits([region_area(r) for r in regions]))
+        assert areas[3] == pytest.approx(4.0 * math.pi, rel=1e-6)
+        assert region_area([]).shape == (0,)
 
 
 class TestVerifyBlockTheorem:
@@ -329,6 +398,42 @@ class TestResolventSampler:
                     if res > cap * (1.0 + 1e-8) + 1e-12:
                         failures.append({"lambda": [x, y], "norm": res, "cap": cap})
         return applicable, failures
+
+    @staticmethod
+    def scalar_loop(rng, count, scale, keep=()):
+        """The per-sample draws ``_resolvent_samples`` decodes; returns the
+        points and the generator state after each count in ``keep``."""
+        points, states = [], {}
+        for k in range(count + 1):
+            if k in keep:
+                states[k] = rng.bit_generator.state
+            if k < count:
+                points.append(complex(rng.uniform(-2.0 * scale, 2.0 * scale),
+                                      rng.uniform(1e-3 * scale, 2.0 * scale)
+                                      * rng.choice([-1.0, 1.0])))
+        return np.array(points, dtype=complex), states
+
+    @pytest.mark.parametrize("scale", [1.0, 10.0, 37.3])
+    def test_stream_matches_scalar_loop(self, scale):
+        counts = (0, 1, 2, 999, 1000)
+        for seed in range(100):
+            loop, states = self.scalar_loop(np.random.default_rng(seed), 1000,
+                                            scale, keep=counts)
+            for count in counts:
+                rng = np.random.default_rng(seed)
+                lams = verification._resolvent_samples(rng, count, scale)
+                np.testing.assert_array_equal(lams.view(np.uint64),
+                                              loop[:count].view(np.uint64))
+                assert rng.bit_generator.state == states[count]
+
+    def test_rejects_undecodable_generators(self):
+        with pytest.raises(ValueError, match="PCG64"):
+            verification._resolvent_samples(
+                np.random.Generator(np.random.MT19937(0)), 10, 1.0)
+        rng = np.random.default_rng(0)
+        rng.choice([-1.0, 1.0])  # leaves a buffered uint32
+        with pytest.raises(ValueError, match="buffered"):
+            verification._resolvent_samples(rng, 10, 1.0)
 
     def test_matches_scalar_replay(self):
         for seed in trial_seeds(5, 4):
