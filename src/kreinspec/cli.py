@@ -134,6 +134,12 @@ def _run_suite(config: RunConfig, record: RunRecord, trial, payloads,
     return EXIT_OK if not failing else EXIT_VERIFICATION
 
 
+def _guard_stack_memory(path: str, n: int, depth: int) -> None:
+    """Refuse, before any trial, a run stacking ``depth`` complex n x n matrices
+    (48 bytes an entry with workspace) above ``DENSE_EIG_MAX_BYTES``."""
+    guard_eig_memory(path, n, 48 * depth * n * n)
+
+
 def _matrix_lab_trial(payload):
     index, seed, max_dim, lambda_samples = payload
     block = random_block_operator(seed, max_dim=max_dim)
@@ -144,6 +150,10 @@ def _matrix_lab_trial(payload):
 def cmd_matrix_lab(args) -> int:
     config = _resolve_config(args, "matrix-lab")
     p = config.params
+    # the bound fit stacks len(DEFAULT_B_GRID) matrices, the resolvent samples
+    # lambda_samples of them
+    _guard_stack_memory("block-matrix", p["max_dim"],
+                        max(len(DEFAULT_B_GRID), p["lambda_samples"]))
     payloads = [(i, s, p["max_dim"], p["lambda_samples"])
                 for i, s in enumerate(trial_seeds(p["seed"], p["trials"]))]
     return _run_suite(config, _record_for(args, config), _matrix_lab_trial,
@@ -177,15 +187,15 @@ def cmd_perturb(args) -> int:
         if missing:
             raise ConfigError(f"{p['problem']}: problem needs key {missing[0]!r}")
         # the bound fit and the inertia counts each stack len(DEFAULT_B_GRID)
-        # complex n x n matrices, 48 bytes an entry with eigvalsh's workspace
-        n = np.size(payload["signature"])
-        guard_eig_memory("perturbation", n, 48 * len(DEFAULT_B_GRID) * n * n)
+        _guard_stack_memory("perturbation", np.size(payload["signature"]),
+                            len(DEFAULT_B_GRID))
         problem = KreinPerturbationProblem(
             signature=np.asarray(payload["signature"], dtype=float),
             a0=matrix_from_json(payload["A0"]),
             v=matrix_from_json(payload["V"]))
         trial, payloads = _perturb_file_trial, [(problem, p["tau"])]
     else:
+        _guard_stack_memory("perturbation", p["max_dim"], len(DEFAULT_B_GRID))
         trial = _perturb_trial
         payloads = [(i, s, p["max_dim"], p["tau"])
                     for i, s in enumerate(trial_seeds(p["seed"], p["trials"]))]

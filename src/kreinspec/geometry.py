@@ -185,34 +185,14 @@ class DiskFamilyRegion:
 
     @property
     def real_extent(self) -> tuple:
-        """Smallest interval [xmin, xmax] containing the region's real section."""
+        """Smallest interval [xmin, xmax] containing the region's real section:
+        r(t) = norm((sqrt(rho a), sqrt(rho b) t)) is convex, so both extremes
+        sit at the ends of the center set (an infinite end is its own)."""
         xmin, xmax = math.inf, -math.inf
-        for p in self.centers.points:
-            xmin = min(xmin, p - float(self.radius(p)))
-            xmax = max(xmax, p + float(self.radius(p)))
-        for lo, hi in self.centers.intervals:
-            if not math.isfinite(lo):
-                xmin = -math.inf
-            else:
-                xmin = min(xmin, _extremal_reach(self, lo, hi, side=-1))
-            if not math.isfinite(hi):
-                xmax = math.inf
-            else:
-                xmax = max(xmax, _extremal_reach(self, lo, hi, side=+1))
+        for t in self.centers.points + sum(self.centers.intervals, ()):
+            r = float(self.radius(t)) if math.isfinite(t) else 0.0
+            xmin, xmax = min(xmin, t - r), max(xmax, t + r)
         return (xmin, xmax)
-
-
-def _extremal_reach(region, lo, hi, side):
-    """min of t - r(t) (side=-1) or max of t + r(t) (side=+1) over [lo, hi]."""
-    if region.radius_scale * region.bound.b < 1.0:
-        # |r'(t)| <= sqrt(rho b) < 1, so t +- r(t) is monotone increasing
-        ends = (hi,) if side > 0 else (lo,)
-    else:
-        # r is the Euclidean norm of (sqrt(rho a), sqrt(rho b) t), so it is
-        # convex and side t + r(t) peaks at an endpoint (finite: the centers
-        # are bounded when rho b >= 1)
-        ends = (lo, hi)
-    return side * max(side * t + float(region.radius(t)) for t in ends)
 
 
 @dataclass(frozen=True)

@@ -29,8 +29,8 @@ __all__ = [
 
 _HERM_TOL = 1e-12
 # Decision tolerances, relative to a norm (README, "Scope notes"): the K-set
-# slack, the near-spectrum guard, the positive-definiteness guard on J A0
-# (both of its checks) and spectral_projections' near-zero-eigenvalue guard.
+# slack, resolvent_factor_norm's near-spectrum guard, the positive-definiteness
+# guard on J A0 (both checks) and spectral_projections' zero-eigenvalue guard.
 K_SET_SLACK = 1e-10
 NEAR_SPECTRUM_TOL = 1e-12
 POSITIVITY_TOL = 1e-10
@@ -99,25 +99,31 @@ def block_signature(block: BlockOperator) -> np.ndarray:
     return np.concatenate([np.ones(np_), -np.ones(nm)])
 
 
-def resolvent_factor_norm(t_op, s_op, lam):
-    """Largest singular value of T (S - lam)^{-1} for Hermitian S = U diag(d) U*,
-    taken as that of (T U) / (d - lam): one stacked SVD over an array of lam
-    (a float for a scalar lam).  Rejects lam within ``NEAR_SPECTRUM_TOL``
-    max(norm(S), 1) of S's spectrum."""
+def _factor_operands(t_op, s_op):
+    """T U and d for Hermitian S = U diag(d) U*, after checking T and S."""
     t_op = _as_matrix(t_op, "T")
     s_op = _as_matrix(s_op, "S")
     _require_hermitian(s_op, "S")
     if t_op.shape[1] != s_op.shape[0]:
         raise ValueError(f"T has {t_op.shape[1]} columns but S has size {len(s_op)}")
-    lam = np.asarray(lam, dtype=complex)
     d, u = np.linalg.eigh(s_op)
+    return t_op @ u, d
+
+
+def resolvent_factor_norm(t_op, s_op, lam):
+    """Largest singular value of T (S - lam)^{-1} for Hermitian S = U diag(d) U*,
+    taken as that of (T U) / (d - lam): one stacked SVD over an array of lam
+    (a float for a scalar lam).  Rejects lam within ``NEAR_SPECTRUM_TOL``
+    max(norm(S), 1) of S's spectrum."""
+    tu, d = _factor_operands(t_op, s_op)
+    lam = np.asarray(lam, dtype=complex)
     shifted = d - lam[..., None]
     guard = NEAR_SPECTRUM_TOL * max(np.max(np.abs(d)), 1.0)
     near = np.any(np.abs(shifted) <= guard, axis=-1)
     if np.any(near):
         raise ValueError(f"lambda = {lam[near].flat[0]} is in (or too close to) "
                          "the spectrum of S")
-    norms = np.linalg.svd((t_op @ u) / shifted[..., None, :], compute_uv=False)
+    norms = np.linalg.svd(tu / shifted[..., None, :], compute_uv=False)
     return float(norms[0]) if lam.ndim == 0 else norms[..., 0]
 
 
@@ -134,8 +140,17 @@ def resolvent_norm(a_op, lam):
 
 
 def k_set_membership(t_op, s_op, lam):
-    """Whether norm(T (S - lam)^{-1}) >= 1 (per lam), up to ``K_SET_SLACK``."""
-    return resolvent_factor_norm(t_op, s_op, lam) >= 1.0 - K_SET_SLACK
+    """Whether norm(T (S - lam)^{-1}) >= 1 - ``K_SET_SLACK`` (per lam; a bool
+    for a scalar lam), in closed form: (S - lam)*(S - lam) = (S - x)^2 + y^2
+    at lam = x + iy, so lam is a member when y^2 <= phi(x), the largest
+    eigenvalue of T*T / (1 - K_SET_SLACK)^2 - (S - x)^2, taken in S's
+    eigenbasis by one stacked eigvalsh.  phi >= 0 on S's spectrum."""
+    tu, d = _factor_operands(t_op, s_op)
+    lam = np.asarray(lam, dtype=complex)
+    gram = tu.conj().T @ tu / (1.0 - K_SET_SLACK) ** 2
+    shift = np.square(d - lam.real[..., None])[..., None] * np.eye(d.size)
+    member = lam.imag ** 2 <= np.linalg.eigvalsh(gram - shift)[..., -1]
+    return bool(member) if lam.ndim == 0 else member
 
 
 def min_relative_bound(t_op, s_op, b):

@@ -100,7 +100,7 @@ COMMAND_SCHEMAS = {
         "trials": ("int", 200, ">= 1", _positive),
         "max_dim": ("int", 20, ">= 2", lambda v: v >= 2),
         "seed": ("int", 42, "64-bit unsigned", _seed64),
-        "tau": ("float", None, "> 1 (omit for auto)", lambda v: v >= 1.0),
+        "tau": ("float", None, ">= 1 (omit for auto)", lambda v: v >= 1.0),
         "problem": ("str", None, "", None),
         "jobs": ("int", 1, ">= 1", _positive),
         "report": ("str", "perturb_report.json", "", None),

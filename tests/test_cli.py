@@ -136,6 +136,23 @@ class TestMatrixLabCommand:
         assert run(base + ["--jobs", "2", "--report", str(r2)]) == 0
         assert r1.read_bytes() == r2.read_bytes()
 
+    @pytest.mark.parametrize("samples, depth", [(20, 100), (1000, 1000)])
+    def test_max_dim_memory_guard_exit_two(self, tmp_path, monkeypatch, capsys,
+                                           samples, depth):
+        # --max-dim 3 estimates 48 * depth * 9 bytes, depth the larger of the
+        # b grid (100) and the resolvent samples: just above the limit it is
+        # refused before any trial and no report is written
+        argv = ["matrix-lab", "--trials", "1", "--max-dim", "3",
+                "--lambda-samples", str(samples), "--report",
+                str(tmp_path / "r.json")]
+        monkeypatch.setattr(sturm_liouville, "DENSE_EIG_MAX_BYTES", 48 * depth * 9 - 1)
+        assert run(argv) == 2
+        err = capsys.readouterr().err
+        assert "DENSE_EIG_MAX_BYTES" in err and "Traceback" not in err
+        assert not (tmp_path / "r.json").exists()
+        monkeypatch.setattr(sturm_liouville, "DENSE_EIG_MAX_BYTES", 48 * depth * 9)
+        assert run(argv) == 0
+
     def test_fixed_seed_outcome_pinned(self, tmp_path):
         # verdicts and the non-real count of a fixed-seed suite: a refactor
         # of the harness must not move them
@@ -212,6 +229,18 @@ class TestPerturbCommand:
         assert not report.exists()
         monkeypatch.setattr(sturm_liouville, "DENSE_EIG_MAX_BYTES", 48 * 100 * 9)
         assert run(["perturb", "--problem", str(path), "--report", str(report)]) == 0
+
+    def test_max_dim_memory_guard_exit_two(self, tmp_path, monkeypatch, capsys):
+        # --max-dim 3 estimates 48 * 100 * 9 bytes, as a 3 x 3 problem file
+        argv = ["perturb", "--trials", "1", "--max-dim", "3", "--report",
+                str(tmp_path / "r.json")]
+        monkeypatch.setattr(sturm_liouville, "DENSE_EIG_MAX_BYTES", 48 * 100 * 9 - 1)
+        assert run(argv) == 2
+        err = capsys.readouterr().err
+        assert "DENSE_EIG_MAX_BYTES" in err and "Traceback" not in err
+        assert not (tmp_path / "r.json").exists()
+        monkeypatch.setattr(sturm_liouville, "DENSE_EIG_MAX_BYTES", 48 * 100 * 9)
+        assert run(argv) == 0
 
     @pytest.mark.parametrize("payload, key", [
         ({"signature": [1, -1], "V": matrix_to_json(np.zeros((2, 2)))}, "A0"),

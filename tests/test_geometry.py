@@ -526,6 +526,23 @@ class TestConcaveBranch:
             assert xmin == pytest.approx(scan_min, rel=1e-14, abs=1e-12)
             assert xmax == pytest.approx(scan_max, rel=1e-14, abs=1e-12)
 
+    @pytest.mark.parametrize("a, b", [(2.0, 0.0), (2.0, 0.4), (0.0, 0.0),
+                                      (0.0, 0.4)])
+    def test_real_extent_unbounded_centers(self, a, b):
+        # an infinite end is its own extreme; at b = 0, r(+-inf) is NaN
+        def extent(centers):
+            return DiskFamilyRegion(RelBound(a, b), centers).real_extent
+
+        def r(t):
+            return math.sqrt(a + b * (t * t))
+
+        lo, hi = -1.5, 3.0
+        assert extent(SpectrumModel.half_line_below(hi)) == (-math.inf, hi + r(hi))
+        assert extent(SpectrumModel.half_line_above(lo)) == (lo - r(lo), math.inf)
+        assert extent(SpectrumModel.real_line()) == (-math.inf, math.inf)
+        mixed = SpectrumModel(intervals=((-math.inf, lo),), points=(hi,))
+        assert extent(mixed) == (-math.inf, hi + r(hi))
+
     def test_polyline_points_on_boundary(self):
         rng = np.random.default_rng(47)
         for _ in range(40):

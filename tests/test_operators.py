@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from kreinspec.operators import (
+    K_SET_SLACK,
     BlockOperator,
     KreinPerturbationProblem,
     assemble_block,
@@ -121,6 +122,31 @@ class TestKSetMembership:
         assert k_set_membership(t, s, 0.5j)
         assert k_set_membership(t, s, 1j)  # boundary, norm exactly 1
         assert not k_set_membership(t, s, 2j)
+
+    def test_closed_form_matches_factor_norm(self):
+        # y^2 <= phi(x) decides what the factor norm decides, on both sides
+        for seed in range(20):
+            t, s, lams = TestVectorized.instance(seed)
+            member = k_set_membership(t, s, lams)
+            want = resolvent_factor_norm(t, s, lams) >= 1.0 - K_SET_SLACK
+            assert member.tolist() == want.tolist()
+            assert 0 < member.sum() < lams.size
+
+    def test_spectrum_points_are_members(self):
+        for seed in range(5):
+            t, s, lams = TestVectorized.instance(seed)
+            d = np.linalg.eigvalsh(s)
+            lams[: d.size] = d
+            assert k_set_membership(t, s, lams)[: d.size].all()
+            assert all(k_set_membership(t, s, x) for x in d)
+        # no factor at all: phi is 0 on the spectrum and negative off it
+        s = np.diag([-1.0, 2.0])
+        assert k_set_membership(np.zeros((1, 2)), s, np.array([-1.0, 2.0])).all()
+        assert not k_set_membership(np.zeros((1, 2)), s, 0.5)
+
+    def test_scalar_lam_returns_bool(self):
+        t, s, lams = TestVectorized.instance(0)
+        assert {type(k_set_membership(t, s, lam)) for lam in lams[:10]} == {bool}
 
     def test_conjugation_symmetry(self):
         rng = np.random.default_rng(3)
@@ -363,12 +389,11 @@ class TestVectorized:
         lams[17] = np.linalg.eigvalsh(s)[3]
         with pytest.raises(ValueError, match="spectrum of S"):
             resolvent_factor_norm(t, s, lams)
-        with pytest.raises(ValueError, match="spectrum of S"):
-            k_set_membership(t, s, lams)
 
     def test_shape_mismatch_named(self):
-        with pytest.raises(ValueError, match="T has 3 columns but S has size 2"):
-            resolvent_factor_norm(np.ones((2, 3)), np.eye(2), 1j)
+        for func in (resolvent_factor_norm, k_set_membership):
+            with pytest.raises(ValueError, match="T has 3 columns but S has size 2"):
+                func(np.ones((2, 3)), np.eye(2), 1j)
 
 
 class TestResolventNorm:

@@ -132,6 +132,31 @@ class TestVerifyBlockTheorem:
         assert report.nonreal_count == 0
         assert report.verified
 
+    @pytest.mark.parametrize("coupling_norm", [0.0, 1e-10])
+    def test_weakly_coupled_rotated_blocks_clean(self, coupling_norm):
+        # non-diagonal blocks: eigvals(full) misses their spectra by rounding,
+        # where the K set's closed form is negative; those real eigenvalues
+        # must count as inside their own side and be tested against the other
+        def rotated(rng, d):
+            z = rng.standard_normal((d.size,) * 2) \
+                + 1j * rng.standard_normal((d.size,) * 2)
+            q = np.linalg.qr(z)[0]
+            s = q @ np.diag(d) @ q.conj().T
+            return (s + s.conj().T) / 2
+
+        for seed in range(10):
+            rng = np.random.default_rng(seed)
+            s_plus = rotated(rng, rng.uniform(-3, 3, 5))
+            s_minus = rotated(rng, rng.uniform(-3, 3, 4))
+            m = rng.standard_normal((5, 4))
+            m *= coupling_norm / np.linalg.norm(m, 2)
+            report = verify_block_theorem(BlockOperator(s_plus, s_minus, m),
+                                          lambda_samples=20, seed=seed)
+            assert report.sign_type_failures == [], seed
+            assert report.verified, seed
+            assert report.nonreal_count == 0
+            assert report.checks["signType"]["tested"] == 9
+
     def test_canonical_two_by_two_boundary(self):
         block = BlockOperator(np.zeros((1, 1)), np.zeros((1, 1)),
                               np.array([[1.0]]))
