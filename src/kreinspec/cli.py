@@ -209,13 +209,17 @@ def _build_potential(p) -> Potential:
             raise ConfigError("tabulated potential requires --file")
         rows = [line.split(",") for line in
                 Path(p["file"]).read_text(encoding="utf-8").strip().splitlines()]
-        short = [number for number, r in enumerate(rows, 1) if len(r) < 2]
-        if short:
-            raise ConfigError(f"{p['file']}: line {short[0]} needs two columns")
-        if rows and rows[0][0].strip().lower() == "x":
-            rows = rows[1:]
-        xs = [float(r[0]) for r in rows]
-        qs = [float(r[1]) for r in rows]
+        header = bool(rows) and rows[0][0].strip().lower() == "x"
+        xs, qs = [], []
+        for number, r in enumerate(rows, 1):
+            if len(r) < 2:
+                raise ConfigError(f"{p['file']}: line {number} needs two columns")
+            if not (header and number == 1):
+                try:
+                    xs.append(float(r[0]))
+                    qs.append(float(r[1]))
+                except ValueError as exc:
+                    raise ConfigError(f"{p['file']}: line {number}: {exc}") from None
         return Potential(kind="tabulated", table=(xs, qs))
     return Potential(kind=p["kind"], depth=p["depth"], width=p["width"])
 

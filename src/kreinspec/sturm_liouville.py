@@ -454,34 +454,59 @@ def sl_sign_types(disc: SLDiscretization, real_sorted) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SLSpectrum:
-    """Eigenvalues of A and the path that found them.
-
-    On the "parity" and "dense" paths ``eigenvalues`` holds all n of them.
-    On the "certified" path it holds the kappa eigenvalues of non-positive
-    T-type: the ``nonreal_pairs`` (P) non-real ones with Im > 0, then the W
-    real ones of negative T-type, whose inertia jumps are ``jumps``.
-    ``kappa`` is the number of negative eigenvalues of T; ``iterations`` and
-    ``residual`` (the largest backward residual) describe the certified
-    solve, and ``reason`` says why a dense fallback ran.
+    """The eigenvalues of A of non-positive T-type and the path that found
+    them: the ``nonreal_pairs`` (P) non-real ones with Im > 0, sorted, then
+    the W real ones of negative T-type, ascending, with inertia ``jumps``.
+    ``kappa`` is the number of negative eigenvalues of T.  The all-n paths
+    ("parity", "dense") add the (lam, jump) of each real eigenvalue whose
+    jump is not +-1 (``undecided``) and the ``pairing_defect``; the
+    certified solve adds its ``iterations`` and largest backward
+    ``residual``, and a dense fallback its ``reason``.
     """
 
     path: str
     eigenvalues: np.ndarray
-    kappa: int | None = None
-    nonreal_pairs: int | None = None
+    kappa: int
+    nonreal_pairs: int
     jumps: tuple = ()
+    undecided: tuple = ()
+    pairing_defect: float | None = None
     iterations: int = 0
     residual: float | None = None
     reason: str | None = None
 
     def diagnostics(self) -> dict:
         """Solver diagnostics for the run record."""
-        certified = self.path == "certified"
         return {"path": self.path, "kappa": self.kappa,
                 "nonrealPairs": self.nonreal_pairs,
-                "negativeTypeReal": len(self.jumps) if certified else None,
+                "negativeTypeReal": len(self.jumps),
                 "iterations": self.iterations, "maxResidual": self.residual,
-                "fallbackReason": self.reason}
+                "fallbackReason": self.reason, "pairingDefect": self.pairing_defect}
+
+
+def _from_all_eigenvalues(disc: SLDiscretization, path: str, evals,
+                          kappa: int, tol: float, **solve) -> SLSpectrum:
+    """The ``SLSpectrum`` of all n eigenvalues of A.  One within
+    ``tol (1 + |z|)`` of the real axis counts as real.  The non-real ones
+    must pair up under conjugation (a ``_pairing_defect`` above
+    ``SL_PAIRING_TOL`` raises ``ArithmeticError``); a real one is of
+    negative T-type when its ``sl_sign_types`` jump is -sgn(lam)."""
+    evals = np.asarray(evals, dtype=complex)
+    is_real = np.abs(evals.imag) <= tol * (1.0 + np.abs(evals))
+    nonreal, real = evals[~is_real], np.sort(evals[is_real].real)
+    defect, worst = _pairing_defect(nonreal.tolist())
+    if defect > SL_PAIRING_TOL:
+        raise ArithmeticError(f"non-real eigenvalue {worst} has no "
+                              f"conjugate partner within SL_PAIRING_TOL")
+    jumps = sl_sign_types(disc, real)
+    negative = jumps * np.sign(real) == -1
+    pairs = np.sort_complex(nonreal[nonreal.imag > 0])
+    return SLSpectrum(path, np.concatenate((pairs, real[negative])),
+                      kappa=kappa, nonreal_pairs=int(pairs.size),
+                      jumps=tuple(jumps[negative].tolist()),
+                      undecided=tuple((float(lam), int(j)) for lam, j
+                                      in zip(real, jumps) if abs(j) != 1),
+                      pairing_defect=defect, **solve)
 
 
 def _tridiagonal_matmul(main, off, x) -> np.ndarray:
@@ -518,7 +543,8 @@ def _orthonormal_extension(basis, new) -> np.ndarray:
 
 def sl_certified_spectrum(disc: SLDiscretization, tol: float = 1e-8) -> SLSpectrum:
     """The kappa eigenvalues of non-positive T-type, certified by the count
-    kappa = P + W, in O(n) memory; all n by dense eig when it does not close.
+    kappa = P + W, in O(n) memory; reduced from a dense eig when it does not
+    close.
 
     A = S T is self-adjoint in the indefinite form [f, g] = (T f, g), which
     has kappa negative squares, kappa the number of negative eigenvalues of
@@ -538,8 +564,8 @@ def sl_certified_spectrum(disc: SLDiscretization, tol: float = 1e-8) -> SLSpectr
     are distinct, none of the non-real ones lies within ``tol (1 + |lam|)``
     of the real axis (the report would call it real), and the inertia jump
     across each real target's bracket (``SL_BRACKET_WIDTH``) confirms its
-    negative T-type.  Otherwise the dense eigenvalues come back with the
-    reason.
+    negative T-type.  Otherwise ``_from_all_eigenvalues`` reduces the dense
+    eigenvalues, and the result carries the reason.
     """
     main, upper, _ = disc.diagonals
     s = disc.signs
@@ -549,9 +575,9 @@ def sl_certified_spectrum(disc: SLDiscretization, tol: float = 1e-8) -> SLSpectr
     iterations, residual = 0, None
 
     def fallback(reason):
-        return SLSpectrum("dense", sl_eigenvalues(disc, force_dense=True),
-                          kappa=kappa, iterations=iterations,
-                          residual=residual, reason=reason)
+        return _from_all_eigenvalues(
+            disc, "dense", sl_eigenvalues(disc, force_dense=True), kappa, tol,
+            iterations=iterations, residual=residual, reason=reason)
 
     if singular:
         return fallback("T is singular: a pivot of its Sturm count at 0 "
@@ -657,19 +683,14 @@ def containment_report(disc: SLDiscretization, p: float,
     region (inflated by the discretization slack), and the sign type of the
     real eigenvalues beyond the box.
 
-    An even potential's spectrum comes from the parity reduction, any other
-    one from ``sl_certified_spectrum``.  With all n eigenvalues (parity, or
-    a dense fallback) each real one beyond the box gets its
-    ``sl_sign_types`` jump, and the non-real ones must pair up under
-    conjugation: the largest defect goes to ``report.diagnostics``, and one
-    above ``SL_PAIRING_TOL`` raises ``ArithmeticError``.  On the certified
-    path every real eigenvalue but the W of negative T-type has
-    (T f, f) > 0, that is sign type sgn(lam), so the sign claim beyond the
-    box holds exactly when each of the W lies within
-    |lam| <= reHalfWidth + slack; ``eigenvalues`` then lists the kappa
-    eigenvalues of non-positive type (a non-real one stands for its
-    conjugate pair), ``checks.spectrum`` the counts, and the table both
-    members of each pair.  The solver's diagnostics are left in
+    The eigenvalues of non-positive type come from the parity reduction for
+    an even potential, from ``sl_certified_spectrum`` otherwise.  Every real
+    eigenvalue but the W of negative T-type has sign type sgn(lam), so the
+    sign claim beyond the box holds exactly when each of the W lies within
+    |lam| <= reHalfWidth + slack; an undecided one beyond it is
+    indeterminate.  ``eigenvalues`` lists the non-positive type (a non-real
+    one for its conjugate pair), ``checks.spectrum`` the counts, the table
+    both members of each pair; the solver's diagnostics are left in
     ``report.diagnostics`` for the run record.
     """
     q_norm = lp_norm(disc.potential, p)
@@ -677,69 +698,44 @@ def containment_report(disc: SLDiscretization, p: float,
     bst = bst_region(p, q_norm)
     slack = containment_slack(disc, max(1.0, box.re_half_width),
                               c=slack_c, kappa=slack_kappa)
-    spectrum = (SLSpectrum("parity", sl_eigenvalues(disc))
-                if disc.parity_symmetric else sl_certified_spectrum(disc, tol))
+    if disc.parity_symmetric:
+        (kappa,), _ = _sturm_counts(disc, [0.0])
+        spectrum = _from_all_eigenvalues(disc, "parity", sl_eigenvalues(disc),
+                                         int(kappa), tol)
+    else:
+        spectrum = sl_certified_spectrum(disc, tol)
+    kind = disc.potential.kind
     report = VerificationReport(
-        instance={"potential": disc.potential.kind,
-                  "depth": getattr(disc.potential, "depth", None),
-                  "L": disc.L, "n": disc.n, "p": p},
+        instance={"potential": kind, "L": disc.L, "n": disc.n, "p": p,
+                  "depth": None if kind == "tabulated" else disc.potential.depth},
         bounds={"qNorm": q_norm, "imHalfHeight": box.im_half_height,
                 "reHalfWidth": box.re_half_width, "bstIm": bst.im_bound,
                 "bstAbs": bst.abs_bound, "slack": slack},
         diagnostics=spectrum.diagnostics())
-    table = []
-
-    def check_nonreal(z, count=1):
-        m_box = box.margin(z)
-        m_bst = bst.margin(z)
-        in_box = m_box <= slack
-        in_bst = m_bst <= slack
+    table, reach = [], box.re_half_width + slack
+    evals = [complex(z) for z in spectrum.eigenvalues]
+    pairs = spectrum.nonreal_pairs
+    for z in evals[:pairs]:
+        m_box, m_bst = box.margin(z), bst.margin(z)
+        in_box, in_bst = m_box <= slack, m_bst <= slack
         report.add_nonreal(z, in_box and in_bst, max(m_box, m_bst),
                            {"lambda": [z.real, z.imag], "margin_box": m_box,
-                            "margin_bst": m_bst}, count=count)
-        return {"re": z.real, "im": z.imag, "in_paper_box": in_box,
-                "in_bst": in_bst, "margin_paper": m_box, "margin_bst": m_bst}
-
-    evals = [complex(z) for z in spectrum.eigenvalues]
-    if spectrum.path == "certified":
-        pairs = spectrum.nonreal_pairs
-        for z in evals[:pairs]:
-            row = check_nonreal(z, count=2)
-            table += [dict(row, im=-z.imag), row]
-        for z, jump in zip(evals[pairs:], spectrum.jumps):
-            # negative T-type: the test passes only inside the box
-            lam, sign = z.real, float(jump)
-            inside = abs(lam) <= box.re_half_width + slack
-            report.check_sign(lam, sign, sign > 0 if inside else lam > 0)
-            report.add_real(lam, sign)
-        report.checks["spectrum"] = {
-            "path": spectrum.path, "kappa": spectrum.kappa,
-            "nonrealPairs": pairs, "negativeTypeReal": len(spectrum.jumps),
-            "real": disc.n - 2 * pairs}
-    else:
-        real = sorted((i for i, z in enumerate(evals)
-                       if abs(z.imag) <= tol * (1.0 + abs(z))),
-                      key=lambda i: evals[i].real)
-        jumps = dict(zip(real, sl_sign_types(disc,
-                                             [evals[i].real for i in real])))
-        defect, worst = _pairing_defect(
-            [z for i, z in enumerate(evals) if i not in jumps])
-        if defect > SL_PAIRING_TOL:
-            raise ArithmeticError(f"non-real eigenvalue {worst} has no "
-                                  f"conjugate partner within SL_PAIRING_TOL")
-        report.diagnostics["pairingDefect"] = defect
-        for i, z in enumerate(evals):
-            if i not in jumps:
-                table.append(check_nonreal(z))
-                continue
-            lam, sign = z.real, None
-            if abs(lam) > box.re_half_width + slack:
-                if abs(jumps[i]) == 1:
-                    sign = float(jumps[i])
-                    report.check_sign(lam, sign, lam > 0)
-                else:
-                    report.add_indeterminate(lam, f"net inertia jump {jumps[i]}")
-            report.add_real(lam, sign)
+                            "margin_bst": m_bst}, count=2)
+        row = {"re": z.real, "im": z.imag, "in_paper_box": in_box,
+               "in_bst": in_bst, "margin_paper": m_box, "margin_bst": m_bst}
+        table += [dict(row, im=-z.imag), row]
+    for z, jump in zip(evals[pairs:], spectrum.jumps):
+        # negative T-type: the test passes only inside the box
+        lam, sign = z.real, float(jump)
+        report.check_sign(lam, sign, lam > 0 if abs(lam) > reach else sign > 0)
+        report.add_real(lam, sign)
+    for lam, jump in spectrum.undecided:
+        if abs(lam) > reach:
+            report.add_indeterminate(lam, f"net inertia jump {jump}")
+    report.checks["spectrum"] = {
+        "path": spectrum.path, "kappa": spectrum.kappa,
+        "nonrealPairs": pairs, "negativeTypeReal": len(spectrum.jumps),
+        "real": disc.n - 2 * pairs}
     report.checks["table"] = table
     report.summarize_sign_checks()
     return report

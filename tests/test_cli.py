@@ -328,10 +328,13 @@ class TestSlCommand:
         rows = "\n".join(f"{x},{-3.0 * math.exp(-x * x)}" for x in xs)
         table.write_text("x,q\n" + rows + "\n")
         code = run(["sl", "--kind", "tabulated", "--file", str(table),
-                    "--p", "2", "--L", "6", "--n", "64",
+                    "--depth", "7", "--p", "2", "--L", "6", "--n", "64",
                     "--out", str(tmp_path / "eigs.csv"),
                     "--report", str(tmp_path / "sl.json")])
         assert code == 0
+        # a depth applies to the closed-form wells only
+        payload = json.loads((tmp_path / "sl.json").read_text())
+        assert payload["instance"]["depth"] is None
 
     @staticmethod
     def _off_centre_table(path, centre=2.0, depth=6.0):
@@ -379,8 +382,10 @@ class TestSlCommand:
         assert diag["kappa"] == 3
         assert diag["fallbackReason"].startswith("count does not close")
         report = json.loads((tmp_path / "sl.json").read_text())
-        assert "spectrum" not in report["checks"]
-        assert len(report["eigenvalues"]) == 400
+        assert report["checks"]["spectrum"] == {
+            "path": "dense", "kappa": 3, "nonrealPairs": 1,
+            "negativeTypeReal": 1, "real": 398}
+        assert len(report["eigenvalues"]) == 2
 
     def test_dense_memory_guard_exit_two(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setattr(sturm_liouville, "DENSE_EIG_MAX_BYTES", 10**6)
@@ -443,6 +448,17 @@ class TestSlCommand:
                     "--report", str(tmp_path / "sl.json")])
         assert code == 2
         assert "line 3" in capsys.readouterr().err
+
+    def test_non_numeric_table_cell_exit_two(self, tmp_path, capsys):
+        table = tmp_path / "q.csv"
+        table.write_text("x,q\n-1.0,-2.0\n0.5,abc\n1.0,-2.0\n")
+        code = run(["sl", "--kind", "tabulated", "--file", str(table),
+                    "--p", "2", "--L", "6", "--n", "64",
+                    "--out", str(tmp_path / "eigs.csv"),
+                    "--report", str(tmp_path / "sl.json")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"{table}: line 3" in err and "'abc'" in err
 
     def test_record_lists_input_digests(self, tmp_path):
         table = tmp_path / "q.csv"

@@ -421,8 +421,10 @@ class TestCertifiedSpectrum:
 
     def test_count_that_does_not_close_falls_back(self, monkeypatch):
         # claiming one negative eigenvalue of T too many: the Ritz problem
-        # still finds kappa - 1 targets, so the count cannot close
+        # still finds kappa - 1 targets, so the count cannot close, and the
+        # dense eigenvalues are reduced to those of non-positive type
         disc = discretize(_off_centre_well(0.6, 10.0), L=15.0, n=400)
+        kappa, upper, neg_real, neg_jumps = _dense_oracle(disc)
         counts = sturm_liouville._sturm_counts
         monkeypatch.setattr(sturm_liouville, "_sturm_counts",
                             lambda d, pts: (counts(d, pts)[0] + 1,
@@ -430,10 +432,14 @@ class TestCertifiedSpectrum:
         spec = sl_certified_spectrum(disc)
         assert spec.path == "dense"
         assert spec.reason.startswith("count does not close")
+        assert (spec.kappa, spec.nonreal_pairs) == (kappa + 1, upper.size)
         np.testing.assert_array_equal(spec.eigenvalues,
-                                      np.linalg.eigvals(disc.A))
+                                      np.concatenate((upper, neg_real)))
+        np.testing.assert_array_equal(spec.jumps, neg_jumps)
         rep = containment_report(disc, 2.0)
-        assert "spectrum" not in rep.checks
+        assert rep.checks["spectrum"] == {
+            "path": "dense", "kappa": kappa + 1, "nonrealPairs": upper.size,
+            "negativeTypeReal": neg_real.size, "real": 400 - 2 * upper.size}
         assert rep.diagnostics["path"] == "dense"
         assert rep.diagnostics["fallbackReason"] == spec.reason
         assert rep.verified
@@ -448,6 +454,32 @@ class TestCertifiedSpectrum:
         monkeypatch.setattr(sturm_liouville, "SL_MAX_ITERATIONS", 1)
         with pytest.raises(ConfigError, match="n = 400"):
             sl_certified_spectrum(disc)
+
+    def test_forced_fallback_matches_certified_report(self, monkeypatch):
+        # the dense fallback reduces its n eigenvalues to the certified
+        # report's kappa, W = 1 included; only the path differs
+        disc = discretize(_off_centre_well(2.0, 6.0), L=15.0, n=1000)
+        certified = containment_report(disc, 2.0)
+        monkeypatch.setattr(sturm_liouville, "SL_MAX_ITERATIONS", 1)
+        dense = containment_report(disc, 2.0)
+        assert dense.diagnostics["fallbackReason"].startswith("not converged")
+        assert dense.checks["spectrum"] == dict(certified.checks["spectrum"],
+                                                path="dense")
+        assert dense.checks["signType"] == certified.checks["signType"]
+        assert ([(r.kind, r.sign) for r in dense.eigenvalues]
+                == [(r.kind, r.sign) for r in certified.eigenvalues]
+                == [("nonreal", None), ("real", 1.0)])
+        np.testing.assert_allclose([r.value for r in dense.eigenvalues],
+                                   [r.value for r in certified.eigenvalues],
+                                   rtol=1e-10, atol=0.0)
+        assert dense.verified and certified.verified
+
+    def test_even_well_reports_the_parity_count(self):
+        disc = discretize(Potential(kind="step", depth=5.0), L=12.0, n=400)
+        spectrum = containment_report(disc, 2.0).checks["spectrum"]
+        assert spectrum["path"] == "parity"
+        assert spectrum["kappa"] == (spectrum["nonrealPairs"]
+                                     + spectrum["negativeTypeReal"]) > 0
 
 
 class TestContainmentReport:
@@ -470,7 +502,8 @@ class TestContainmentReport:
 
     def test_missing_eigenvalue_is_indeterminate_with_reason(self, monkeypatch):
         # Drop the second-largest real eigenvalue: the inertia count then
-        # jumps by 2 across the interval of exactly one of its neighbours.
+        # jumps by 2 across the interval of exactly one of its neighbours,
+        # which is beyond the box and so comes back undecided.
         disc = discretize(Potential(kind="step", depth=5.0), L=6.0, n=200)
         full = containment_report(disc, 2.0)
         evals = sl_eigenvalues(disc)
@@ -482,18 +515,32 @@ class TestContainmentReport:
         rep = containment_report(disc, 2.0)
         assert [e["reason"] for e in rep.indeterminate] == ["net inertia jump 2"]
         assert rep.checks["signType"] == {
-            "tested": full.checks["signType"]["tested"] - 2,
+            "tested": full.checks["signType"]["tested"],
             "failures": 0, "indeterminate": 1}
+        # the dropped eigenvalue is of positive type: the counts stand
+        assert rep.checks["spectrum"] == full.checks["spectrum"]
         assert rep.verified
 
     def test_sign_checks_ran(self):
+        # the parity path tests the W real eigenvalues of negative type,
+        # which kappa = P + W certifies; every other real one beyond the
+        # box has sign type sgn(lam), as its own inertia jump confirms
         disc = discretize(Potential(kind="step", depth=5.0), L=14.0, n=700)
         rep = containment_report(disc, 2.0)
-        signs = [r.sign for r in rep.eigenvalues
-                 if r.kind == "real" and r.sign is not None]
-        assert len(signs) > 100
-        assert rep.checks["signType"]["tested"] == len(signs)
-        assert set(signs) == {-1.0, 1.0}  # the inertia jumps
+        spectrum = rep.checks["spectrum"]
+        assert spectrum["kappa"] == (spectrum["nonrealPairs"]
+                                     + spectrum["negativeTypeReal"])
+        signs = [r.sign for r in rep.eigenvalues if r.kind == "real"]
+        assert (rep.checks["signType"]["tested"] == len(signs)
+                == spectrum["negativeTypeReal"])
+        evals = sl_eigenvalues(disc)
+        real = np.sort(evals[np.abs(evals.imag)
+                             <= 1e-8 * (1 + np.abs(evals))].real)
+        beyond = np.abs(real) > rep.bounds["reHalfWidth"] + rep.bounds["slack"]
+        assert np.sum(beyond) > 100
+        jumps = sl_sign_types(disc, real)[beyond]
+        np.testing.assert_array_equal(jumps, np.sign(real[beyond]))
+        assert set(jumps) == {-1, 1}
         assert not rep.indeterminate
         assert not rep.sign_type_failures
 
