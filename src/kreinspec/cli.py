@@ -33,9 +33,14 @@ EXIT_USAGE = 2
 EXIT_HYPOTHESIS = 3
 EXIT_NUMERICAL = 4
 
+# sl flags that shape the closed-form wells; --kind tabulated refuses them.
+_WELL_FLAGS = ("depth", "width")
+
 
 def _add_schema_flags(sub, command):
     for key, (tname, default, desc, _check) in COMMAND_SCHEMAS[command].items():
+        if command == "sl" and key in _WELL_FLAGS:
+            desc += "; step, gaussian and lorentzian only"
         kwargs = {"default": None, "dest": key,
                   "help": f"({tname}; {desc + '; ' if desc else ''}"
                           f"default {default})"}
@@ -228,6 +233,11 @@ def cmd_sl(args) -> int:
     config = _resolve_config(args, "sl")
     p = config.params
     table_file = p["file"] if p["kind"] == "tabulated" else None
+    if p["kind"] == "tabulated":
+        given = [key for key in _WELL_FLAGS if getattr(args, key) is not None]
+        if given:
+            raise ConfigError(f"--{given[0]} applies to step, gaussian and "
+                              f"lorentzian wells only, not to --kind tabulated")
     record = _record_for(args, config, file=table_file)
     potential = _build_potential(p)
     disc = discretize(potential, L=p["L"], n=p["n"])

@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-from scipy.linalg import eig, eigh_tridiagonal, solve_banded
 
 from .geometry import SLBox
 from .reporting import ConfigError
@@ -101,6 +100,11 @@ SL_MAX_ITERATIONS = 30
 # Above it the run stops with a ConfigError (exit 2) instead of exhausting
 # memory.
 DENSE_EIG_MAX_BYTES = 2 * 1024**3
+# _sturm_counts runs its recurrence point by point on Python floats for up to
+# this many points, and row by row vectorized over the points above it.  On
+# 2 vCPUs at n = 3000 the first costs 0.2-0.25 us per row and point, the
+# second 9-12 us per row for up to 60 points, so they break even at 40-50.
+_STURM_SCALAR_POINTS = 40
 
 
 @dataclass(frozen=True)
@@ -419,17 +423,42 @@ def _sturm_counts(disc: SLDiscretization, points) -> tuple:
     """nu(lam) at each point, the number of negative LDL^T pivots of the
     symmetric tridiagonal pencil T - lam S (the Sturm count of LAPACK
     bisection), and whether a pivot there fell below pivmin (it is then
-    replaced by -pivmin).  The recurrence runs over the grid rows for all
-    points at once."""
+    replaced by -pivmin).
+
+    The recurrence is one pass over the n grid rows per point.  Up to
+    ``_STURM_SCALAR_POINTS`` points (kappa at 0, the bracket ends of the
+    certified solver) run it point by point on Python floats, a fraction
+    of a microsecond per row; more (``sl_sign_types``' n + 1 points) run
+    it row by row with each step vectorized over all points, so the ten
+    NumPy calls of a row (about 10 us for a few dozen points) are paid n
+    times in all.  Python floats round as NumPy's element-wise operations
+    in the same order, so both give the same counts and flags.
+    """
     points = np.asarray(points, dtype=float)
     main, upper, _ = disc.diagonals
-    t_main = disc.signs * main
-    t_off_sq = np.concatenate(([0.0], (disc.signs[:-1] * upper) ** 2))
+    signs = disc.signs
+    t_main = signs * main
+    t_off_sq = np.concatenate(([0.0], (signs[:-1] * upper) ** 2))
     pivmin = np.finfo(float).tiny * max(1.0, float(np.max(t_off_sq)))
+    if points.size <= _STURM_SCALAR_POINTS:
+        negatives, singular = [], []
+        for lam in points.tolist():
+            pivot, count, tiny = 1.0, 0, False
+            # memoryview yields the rows as Python floats without a list copy
+            for d, s, e2 in zip(memoryview(t_main), memoryview(signs),
+                                memoryview(t_off_sq)):
+                pivot = d - e2 / pivot - s * lam
+                if abs(pivot) < pivmin:
+                    tiny, pivot = True, -pivmin
+                if pivot < 0.0:
+                    count += 1
+            negatives.append(count)
+            singular.append(tiny)
+        return np.array(negatives, dtype=int), np.array(singular, dtype=bool)
     negatives = np.zeros(points.size, dtype=int)
     singular = np.zeros(points.size, dtype=bool)
     pivot = np.ones(points.size)
-    for d, s, e2 in zip(t_main, disc.signs, t_off_sq):
+    for d, s, e2 in zip(t_main, signs, t_off_sq):
         pivot = d - e2 / pivot - s * points
         tiny = np.abs(pivot) < pivmin
         singular |= tiny
@@ -519,6 +548,8 @@ def _tridiagonal_matmul(main, off, x) -> np.ndarray:
 
 def _pencil_solve(main, off, signs, theta, rhs) -> np.ndarray:
     """(T - theta S)^-1 rhs by one banded LU."""
+    from scipy.linalg import solve_banded  # imported on first use
+
     ab = np.zeros((3, main.size), dtype=np.result_type(theta, float))
     ab[0, 1:] = off
     ab[1] = main - theta * signs
@@ -567,6 +598,8 @@ def sl_certified_spectrum(disc: SLDiscretization, tol: float = 1e-8) -> SLSpectr
     negative T-type.  Otherwise ``_from_all_eigenvalues`` reduces the dense
     eigenvalues, and the result carries the reason.
     """
+    from scipy.linalg import eig, eigh_tridiagonal  # imported on first use
+
     main, upper, _ = disc.diagonals
     s = disc.signs
     t_main, t_off = s * main, s[:-1] * upper

@@ -328,13 +328,26 @@ class TestSlCommand:
         rows = "\n".join(f"{x},{-3.0 * math.exp(-x * x)}" for x in xs)
         table.write_text("x,q\n" + rows + "\n")
         code = run(["sl", "--kind", "tabulated", "--file", str(table),
-                    "--depth", "7", "--p", "2", "--L", "6", "--n", "64",
+                    "--p", "2", "--L", "6", "--n", "64",
                     "--out", str(tmp_path / "eigs.csv"),
                     "--report", str(tmp_path / "sl.json")])
         assert code == 0
         # a depth applies to the closed-form wells only
         payload = json.loads((tmp_path / "sl.json").read_text())
         assert payload["instance"]["depth"] is None
+
+    @pytest.mark.parametrize("flag", ["--depth", "--width"])
+    def test_tabulated_refuses_well_flags(self, tmp_path, capsys, flag):
+        table = tmp_path / "q.csv"
+        table.write_text("x,q\n-1.0,-2.0\n0.0,-3.0\n1.0,-2.0\n")
+        code = run(["sl", "--kind", "tabulated", "--file", str(table),
+                    flag, "7", "--p", "2", "--L", "6", "--n", "64",
+                    "--out", str(tmp_path / "eigs.csv"),
+                    "--report", str(tmp_path / "sl.json")])
+        assert code == 2
+        assert f"{flag} applies to step, gaussian and lorentzian" in \
+            capsys.readouterr().err
+        assert not (tmp_path / "sl.json").exists()
 
     @staticmethod
     def _off_centre_table(path, centre=2.0, depth=6.0):

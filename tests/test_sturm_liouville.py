@@ -482,6 +482,50 @@ class TestCertifiedSpectrum:
                                      + spectrum["negativeTypeReal"]) > 0
 
 
+class TestSturmCounts:
+    @staticmethod
+    def _points(disc, which, monkeypatch):
+        if which == "random":
+            rng = np.random.default_rng(13)
+            reach = float(np.max(np.abs(disc.diagonals[0])))
+            return np.concatenate((rng.uniform(-reach, reach, 10),
+                                   rng.uniform(-10.0, 10.0, 10)))
+        if which == "brackets":
+            # the certified solver counts at 0, then at the
+            # +-SL_BRACKET_WIDTH ends around each real target: keep those
+            asked, counts = [], sturm_liouville._sturm_counts
+            with monkeypatch.context() as patch:
+                patch.setattr(sturm_liouville, "_sturm_counts", lambda d, pts: (
+                    asked.append(np.asarray(pts, dtype=float)) or counts(d, pts)))
+                spec = sl_certified_spectrum(disc)
+            assert spec.path == "certified", spec.reason
+            assert asked[-1].size == 2 * len(spec.jumps) > 0
+            return asked[-1]
+        # the first pivot is d_0 - s_0 mu, exactly 0 at mu = A[0, 0]
+        return disc.diagonals[0][:1]
+
+    @pytest.mark.parametrize("which", ["random", "brackets", "zero-pivot"])
+    @pytest.mark.parametrize("n", [400, 3000])
+    def test_few_point_path_matches_vectorized(self, monkeypatch, n, which):
+        # the point-by-point loop on Python floats rounds as the loop
+        # vectorized over the points, so both give the same counts and flags
+        disc = discretize(_off_centre_well(2.0, 6.0), L=15.0, n=n)
+        points = self._points(disc, which, monkeypatch)
+        assert points.size <= sturm_liouville._STURM_SCALAR_POINTS
+        few = sturm_liouville._sturm_counts(disc, points)
+        monkeypatch.setattr(sturm_liouville, "_STURM_SCALAR_POINTS", -1)
+        vectorized = sturm_liouville._sturm_counts(disc, points)
+        for got, want in zip(few, vectorized):
+            assert got.dtype == want.dtype
+            np.testing.assert_array_equal(got, want)
+        assert few[1].tolist() == [which == "zero-pivot"] * points.size
+        if n == 400:
+            pencil = disc.T
+            dense = [int(np.sum(np.linalg.eigvalsh(
+                pencil - mu * np.diag(disc.signs)) < 0)) for mu in points]
+            assert few[0].tolist() == dense
+
+
 class TestContainmentReport:
     def test_zero_potential_vacuous(self):
         disc = discretize(Potential(kind="step", depth=0.0), L=5.0, n=64)
@@ -745,11 +789,12 @@ class TestTau0HilbertForm:
 
 class TestLazyImports:
     def test_import_loads_no_quadrature_module(self):
-        # scipy.integrate, scipy.special and mpmath load on first use only
+        # scipy.integrate, scipy.special, scipy.linalg and mpmath load on
+        # first use only
         src = str(Path(__file__).resolve().parents[1] / "src")
         probe = ("import sys, kreinspec; print(sorted(name for name in "
-                 "('scipy.integrate', 'scipy.special', 'mpmath') "
-                 "if name in sys.modules))")
+                 "('scipy.integrate', 'scipy.special', 'scipy.linalg', "
+                 "'mpmath') if name in sys.modules))")
         done = subprocess.run([sys.executable, "-c", probe], capture_output=True,
                               text=True, timeout=120, check=True,
                               env=dict(os.environ, PYTHONPATH=src))
