@@ -19,8 +19,8 @@ from .geometry import DiskFamilyRegion, RelBound, SpectrumModel, \
     boundary_polyline, prior_hull_height, region_to_json
 from .operators import KreinPerturbationProblem
 from .reporting import COMMAND_SCHEMAS, ConfigError, RunConfig, RunRecord, \
-    artifact_version, finalize_record, load_config, matrix_from_json, \
-    normalize_config, write_csv, write_json, write_report
+    artifact_version, finalize_record, matrix_from_json, normalize_config, \
+    read_config, write_csv, write_json, write_report
 from .sturm_liouville import Potential, TAU0_UPPER_BOUND, TAU0_UPPER_TOL, \
     bst_region, containment_report, discretize, extremizer_probe, \
     guard_eig_memory, indicator_probe, sl_constants, tau0_hilbert_form
@@ -33,13 +33,13 @@ EXIT_USAGE = 2
 EXIT_HYPOTHESIS = 3
 EXIT_NUMERICAL = 4
 
-# sl flags that shape the closed-form wells; --kind tabulated refuses them.
-_WELL_FLAGS = ("depth", "width")
+# sl keys of the closed-form wells; kind tabulated refuses them from any source.
+_WELL_KEYS = ("depth", "width")
 
 
 def _add_schema_flags(sub, command):
     for key, (tname, default, desc, _check) in COMMAND_SCHEMAS[command].items():
-        if command == "sl" and key in _WELL_FLAGS:
+        if command == "sl" and key in _WELL_KEYS:
             desc += "; step, gaussian and lorentzian only"
         kwargs = {"default": None, "dest": key,
                   "help": f"({tname}; {desc + '; ' if desc else ''}"
@@ -52,14 +52,19 @@ def _add_schema_flags(sub, command):
 
 
 def _resolve_config(args, command) -> RunConfig:
-    file_params = {}
-    if args.config is not None:
-        file_params = dict(load_config(args.config, command).params)
-    for key in COMMAND_SCHEMAS[command]:
-        value = getattr(args, key, None)
-        if value is not None:
-            file_params[key] = value
-    return normalize_config(command, file_params)
+    """The config file's keys, validated alone first, under the flags given;
+    sl refuses ``_WELL_KEYS`` from either source for kind tabulated."""
+    given = {} if args.config is None else read_config(args.config, command)[1]
+    normalize_config(command, given)
+    flags = {key: getattr(args, key) for key in COMMAND_SCHEMAS[command]
+             if getattr(args, key, None) is not None}
+    config = normalize_config(command, dict(given, **flags))
+    wells = [k for k in _WELL_KEYS if k in flags or given.get(k) is not None]
+    if command == "sl" and config.params["kind"] == "tabulated" and wells:
+        where = f"--{wells[0]}" if wells[0] in flags else f"config key {wells[0]!r}"
+        raise ConfigError(f"{where} applies to step, gaussian and lorentzian "
+                          "wells only, not to kind tabulated")
+    return config
 
 
 def _record_for(args, config: RunConfig, **inputs) -> RunRecord:
@@ -89,8 +94,6 @@ def cmd_region(args) -> int:
             centers = SpectrumModel.half_line_below(gamma)
         elif p["centers"] == "half-line-above":
             centers = SpectrumModel.half_line_above(gamma)
-        elif gamma == 0.0:
-            centers = SpectrumModel.from_points([0.0])
         else:
             centers = SpectrumModel.interval(-gamma, gamma)
         shape = DiskFamilyRegion(RelBound(p["a"], p["b"]), centers,
@@ -233,11 +236,6 @@ def cmd_sl(args) -> int:
     config = _resolve_config(args, "sl")
     p = config.params
     table_file = p["file"] if p["kind"] == "tabulated" else None
-    if p["kind"] == "tabulated":
-        given = [key for key in _WELL_FLAGS if getattr(args, key) is not None]
-        if given:
-            raise ConfigError(f"--{given[0]} applies to step, gaussian and "
-                              f"lorentzian wells only, not to --kind tabulated")
     record = _record_for(args, config, file=table_file)
     potential = _build_potential(p)
     disc = discretize(potential, L=p["L"], n=p["n"])

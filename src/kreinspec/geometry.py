@@ -53,6 +53,9 @@ __all__ = [
 
 # b is rejected this close to 1: all enclosure formulas degenerate there.
 _B_CAP = 1.0 - 1e-12
+# boundary_polyline draws x where min_t g(t) <= BOUNDARY_GATE_TOL (1 + |x|)^2:
+# the real extremes (g ~ 1e-14 by rounding) stay in, gaps between components out.
+BOUNDARY_GATE_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -73,9 +76,9 @@ class RelBound:
 class SpectrumModel:
     """A closed subset of the real line: intervals plus isolated points.
 
-    The representation is normalized on construction: intervals are sorted
-    and merged, points lying inside an interval are absorbed, degenerate
-    intervals collapse to points.  Endpoints may be ``-inf``/``inf``.
+    Normalized on construction: intervals are sorted and merged, points inside
+    an interval absorbed, degenerate intervals collapse to points (that of
+    [-0.0, 0.0] is 0.0).  Endpoints may be ``-inf``/``inf``.
     """
 
     intervals: tuple = ()
@@ -90,7 +93,8 @@ class SpectrumModel:
             if lo == hi:
                 if not math.isfinite(lo):
                     raise ValueError("interval collapsed at infinity")
-                object.__setattr__(self, "points", tuple(self.points) + (lo,))
+                object.__setattr__(self, "points",
+                                   tuple(self.points) + (lo + 0.0,))
             else:
                 ivs.append((lo, hi))
         ivs.sort()
@@ -217,9 +221,9 @@ class SLBox:
         if self.im_half_height < 0 or self.re_half_width < 0:
             raise ValueError("box half-dimensions must be >= 0")
 
-    def contains(self, z: complex, slack: float = 0.0) -> bool:
-        return (abs(z.imag) <= self.im_half_height + slack
-                and abs(z.real) <= self.re_half_width + slack)
+    def contains(self, z: complex) -> bool:
+        return (abs(z.imag) <= self.im_half_height
+                and abs(z.real) <= self.re_half_width)
 
     def margin(self, z: complex) -> float:
         """Signed: <= 0 inside, max of the two per-axis excesses."""
@@ -480,9 +484,8 @@ def tmain_worse(a: float, b: float, tau: float, v: float) -> tuple:
         raise ValueError("tmain_regions expects v < 0; for v >= 0 the perturbed "
                          "operator keeps a real spectrum and no region is needed")
     gamma = min(math.sqrt((1.0 + tau) * a / (2.0 * tau)), -(1.0 + tau) * v / 2.0)
-    centers = (SpectrumModel.from_points([0.0]) if gamma == 0.0
-               else SpectrumModel.interval(-gamma, gamma))
-    return gamma, DiskFamilyRegion(bound=bound, centers=centers, radius_scale=1.0)
+    return gamma, DiskFamilyRegion(bound=bound, radius_scale=1.0,
+                                   centers=SpectrumModel.interval(-gamma, gamma))
 
 
 def tmain_regions(a: float, b: float, tau: float, v: float) -> dict:
@@ -545,10 +548,7 @@ def boundary_polyline(region, resolution: int = 256, re_window=None) -> list:
         xmin = max(xmin, -10.0 * scale)
         xmax = min(xmax, 10.0 * scale)
     xs = np.linspace(xmin, xmax, resolution if xmax - xmin > 1e-300 else 1)
-    # tolerant gate: drops gaps between disconnected components but keeps
-    # boundary-exact abscissae (the region's real extremes land at g ~ 1e-14
-    # from rounding)
-    xs = xs[_min_g(region, xs) <= 1e-12 * (1.0 + np.abs(xs)) ** 2]
+    xs = xs[_min_g(region, xs) <= BOUNDARY_GATE_TOL * (1.0 + np.abs(xs)) ** 2]
     if not xs.size:
         raise ValueError(f"re_window {re_window} misses the region")
     return [complex(x, y) for x, y in zip(xs, region.height(xs))]
@@ -557,11 +557,7 @@ def boundary_polyline(region, resolution: int = 256, re_window=None) -> list:
 def region_to_json(region) -> dict:
     """JSON-ready description {kind, a, b, radiusScale, centers, gamma}."""
     def enc(x):
-        if x == math.inf:
-            return "inf"
-        if x == -math.inf:
-            return "-inf"
-        return x
+        return "inf" if x == math.inf else "-inf" if x == -math.inf else x
 
     if isinstance(region, DiskFamilyRegion):
         ivs = region.centers.intervals

@@ -35,6 +35,12 @@ K_SET_SLACK = 1e-10
 NEAR_SPECTRUM_TOL = 1e-12
 POSITIVITY_TOL = 1e-10
 ZERO_EIGENVALUE_TOL = 1e-10
+# j0_quadrature's truncation, stabilization tolerance and doubling limit, and
+# renorm_check's relative slack.
+J0_TRUNCATION = 1e6
+J0_QUAD_TOL = 1e-6
+J0_MAX_DOUBLINGS = 6
+RENORM_SLACK = 1e-8
 
 
 def _as_matrix(x, name: str) -> np.ndarray:
@@ -46,14 +52,14 @@ def _as_matrix(x, name: str) -> np.ndarray:
     return m
 
 
-def _require_hermitian(m: np.ndarray, name: str, tol: float = _HERM_TOL):
+def _require_hermitian(m: np.ndarray, name: str):
     if m.shape[0] != m.shape[1]:
         raise ValueError(f"{name} must be square, got shape {m.shape}")
     scale = max(np.linalg.norm(m, 2), 1e-300)
     defect = np.linalg.norm(m - m.conj().T, 2)
-    if defect > tol * scale:
+    if defect > _HERM_TOL * scale:
         raise ValueError(f"{name} is not Hermitian: defect {defect:.3e} "
-                         f"exceeds {tol:.1e} * norm")
+                         f"exceeds {_HERM_TOL:.1e} * norm")
 
 
 @dataclass(frozen=True)
@@ -258,19 +264,16 @@ def spectral_projections(problem: KreinPerturbationProblem) -> ProjectionData:
                           signature=sig)
 
 
-def j0_quadrature(a0, upper: float | None = None, tol: float = 1e-6,
-                  max_doublings: int = 6) -> np.ndarray:
+def j0_quadrature(a0) -> np.ndarray:
     """Truncated resolvent integral (1/pi) int_0^T ((A0+it)^-1 + (A0-it)^-1) dt.
 
-    Geometric Gauss-Legendre panels between a scale-derived lower edge and
-    T = 1e6 * norm(A0) by default; node counts double until the matrix
-    stabilizes entrywise below tol/10.
+    Geometric Gauss-Legendre panels from a scale-derived lower edge to
+    T = J0_TRUNCATION norm(A0); node counts double, J0_MAX_DOUBLINGS times at
+    most, until the matrix stabilizes entrywise below J0_QUAD_TOL / 10.
     """
     a0 = _as_matrix(a0, "A0")
     n = a0.shape[0]
-    norm = max(np.linalg.norm(a0, 2), 1e-300)
-    if upper is None:
-        upper = 1e6 * norm
+    upper = J0_TRUNCATION * max(np.linalg.norm(a0, 2), 1e-300)
     smin = np.linalg.svd(a0, compute_uv=False)[-1]
     if smin <= 0.0:
         raise ValueError("A0 must be invertible")
@@ -292,22 +295,21 @@ def j0_quadrature(a0, upper: float | None = None, tol: float = 1e-6,
 
     nodes = 8
     prev = integral(nodes)
-    for _ in range(max_doublings):
+    for _ in range(J0_MAX_DOUBLINGS):
         nodes *= 2
         cur = integral(nodes)
-        if np.max(np.abs(cur - prev)) < 0.1 * tol:
+        if np.max(np.abs(cur - prev)) < 0.1 * J0_QUAD_TOL:
             return cur
         prev = cur
     raise ArithmeticError("resolvent quadrature did not stabilize")
 
 
 def renorm_check(data: ProjectionData, trials: int = 100,
-                 rng: np.random.Generator | None = None,
-                 slack: float = 1e-8) -> bool:
+                 rng: np.random.Generator | None = None) -> bool:
     """Check the renormalization inequalities on random vectors and matrices.
 
     With the scalar product (f, g)_0 = (J J0 f, g) (its Gram matrix must be
-    positive definite) the inequalities are
+    positive definite) the inequalities, each up to RENORM_SLACK, are
 
         norm_0(T) <= tau0 * norm(T),
         tau0^{-1} norm(f)^2 <= norm_0(f)^2 <= tau0 * norm(f)^2,
@@ -335,16 +337,17 @@ def renorm_check(data: ProjectionData, trials: int = 100,
         f = rng.standard_normal(n) + 1j * rng.standard_normal(n)
         nf = float(np.real(f.conj() @ f))
         n0 = norm0_sq(f)
-        if n0 > tau0 * nf * (1.0 + slack) or n0 < nf / tau0 * (1.0 - slack):
+        if (n0 > tau0 * nf * (1.0 + RENORM_SLACK)
+                or n0 < nf / tau0 * (1.0 - RENORM_SLACK)):
             return False
         for proj in (data.e_plus, data.e_minus):
             pf = proj @ f
-            if norm0_sq(pf) > cap * nf * (1.0 + slack):
+            if norm0_sq(pf) > cap * nf * (1.0 + RENORM_SLACK):
                 return False
-            if float(np.real(pf.conj() @ pf)) > cap * n0 * (1.0 + slack):
+            if float(np.real(pf.conj() @ pf)) > cap * n0 * (1.0 + RENORM_SLACK):
                 return False
         t = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
         norm0_t = np.linalg.norm(g_half @ t @ g_half_inv, 2)
-        if norm0_t > tau0 * np.linalg.norm(t, 2) * (1.0 + slack):
+        if norm0_t > tau0 * np.linalg.norm(t, 2) * (1.0 + RENORM_SLACK):
             return False
     return True

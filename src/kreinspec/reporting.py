@@ -23,6 +23,7 @@ __all__ = [
     "RunConfig",
     "RunRecord",
     "COMMAND_SCHEMAS",
+    "read_config",
     "load_config",
     "normalize_config",
     "save_config",
@@ -135,9 +136,6 @@ class RunConfig:
     command: str
     params: dict
 
-    def get(self, key):
-        return self.params[key]
-
 
 def normalize_config(command: str, raw: dict) -> RunConfig:
     """Validate a flat key/value mapping against the command schema, fill
@@ -146,11 +144,8 @@ def normalize_config(command: str, raw: dict) -> RunConfig:
         raise ConfigError(f"unknown command {command!r}; "
                           f"expected one of {sorted(COMMAND_SCHEMAS)}")
     schema = COMMAND_SCHEMAS[command]
-    errors = []
+    errors = [f"unknown key {key!r}" for key in sorted(raw) if key not in schema]
     params = {}
-    for key in sorted(raw):
-        if key not in schema:
-            errors.append(f"unknown key {key!r}")
     for key, (tname, default, desc, check) in schema.items():
         if key in raw and raw[key] is not None:
             value = raw[key]
@@ -178,8 +173,9 @@ def normalize_config(command: str, raw: dict) -> RunConfig:
     return RunConfig(command=command, params=params)
 
 
-def load_config(path, command: str | None = None) -> RunConfig:
-    """Load and validate a JSON config file.
+def read_config(path, command: str | None = None) -> tuple:
+    """The command and the raw key/value mapping of a JSON config file, not
+    yet validated.
 
     The file may carry its command under the key ``"command"``; otherwise the
     caller must pass one.  Parse errors keep the line/column diagnostics.
@@ -199,31 +195,35 @@ def load_config(path, command: str | None = None) -> RunConfig:
     command = command or file_command
     if command is None:
         raise ConfigError(f"{path}: no command given and none in the file")
-    return normalize_config(command, raw)
+    return command, raw
 
 
-def _jsonable(obj):
-    """Recursively convert to plain JSON types, rejecting NaN/inf floats."""
-    if isinstance(obj, dict):
-        return {str(k): _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, (np.floating, np.integer, np.bool_)):
-        obj = obj.item()
-    if isinstance(obj, np.ndarray):
-        return [_jsonable(v) for v in obj.tolist()]
-    if isinstance(obj, float) and not math.isfinite(obj):
-        raise ValueError(f"non-finite float {obj!r} in report; refusing to "
-                         "serialize (upstream bug)")
+def load_config(path, command: str | None = None) -> RunConfig:
+    """Load a JSON config file (see ``read_config``) and validate it."""
+    return normalize_config(*read_config(path, command))
+
+
+def _json_default(obj):
+    """NumPy scalars and arrays as plain values (``json`` takes a float64 as
+    the float it is); a complex value is refused."""
+    if isinstance(obj, (np.generic, np.ndarray)):
+        return obj.tolist()
     if isinstance(obj, complex):
         raise ValueError("complex values must be split into re/im before "
                          "serialization")
-    return obj
+    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
 
 
 def canonical_json(obj) -> str:
-    return json.dumps(_jsonable(obj), sort_keys=True, allow_nan=False,
-                      separators=(",", ": "), indent=1) + "\n"
+    try:
+        return json.dumps(obj, sort_keys=True, allow_nan=False,
+                          separators=(",", ": "), indent=1,
+                          default=_json_default) + "\n"
+    except ValueError as exc:
+        if "JSON compliant" not in str(exc):
+            raise
+        raise ValueError(f"non-finite float in report; refusing to serialize "
+                         f"(upstream bug): {exc}") from None
 
 
 def save_config(config: RunConfig) -> str:

@@ -94,6 +94,12 @@ SL_RESIDUAL_TOL = 1e-14
 SL_BRACKET_WIDTH = 1e-10
 # Expansion rounds after which the certified solver falls back to dense eig.
 SL_MAX_ITERATIONS = 30
+# A potential is even on the grid (the parity path) when its samples at x and
+# -x differ by at most PARITY_TOL max(sup |q|, 1); containment_slack's floor;
+# logarithmic panels per decade of tau0_hilbert_form's quadrature.
+PARITY_TOL = 1e-13
+SL_SLACK_FLOOR = 1e-6
+TAU0_PANELS_PER_DECADE = 8
 # Largest working set an eig of A may take.  A dense eig holds A itself and
 # the copy LAPACK reduces, 16 n^2 bytes (n = 11585 at 2 GiB); the parity path
 # holds its two (n/2)^2 blocks and their product, 6 n^2 bytes (n = 18918).
@@ -206,9 +212,8 @@ class BstRegion:
     im_bound: float
     abs_bound: float
 
-    def contains(self, z: complex, slack: float = 0.0) -> bool:
-        return (abs(z.imag) <= self.im_bound + slack
-                and abs(z) <= self.abs_bound + slack)
+    def contains(self, z: complex) -> bool:
+        return abs(z.imag) <= self.im_bound and abs(z) <= self.abs_bound
 
     def margin(self, z: complex) -> float:
         return max(abs(z.imag) - self.im_bound, abs(z) - self.abs_bound)
@@ -350,7 +355,7 @@ class SLDiscretization:
     def parity_symmetric(self) -> bool:
         q = self.q_values
         scale = max(float(np.max(np.abs(q))), 1.0)
-        return bool(np.all(np.abs(q - q[::-1]) <= 1e-13 * scale))
+        return bool(np.all(np.abs(q - q[::-1]) <= PARITY_TOL * scale))
 
 
 def _dense_tridiagonal(main, upper, lower) -> np.ndarray:
@@ -702,11 +707,11 @@ def _pairing_defect(nonreal) -> tuple:
 
 def containment_slack(disc: SLDiscretization, scale: float,
                       c: float = 1.0, kappa: float = 1.0) -> float:
-    """Region inflation for discretized eigenvalues: the continuous statement
-    is exact, the discretization is a proxy with O(h^2) consistency error and
-    an exponentially small domain-truncation term."""
+    """Region inflation for discretized eigenvalues, at least SL_SLACK_FLOOR:
+    the continuous statement is exact, the discretization is a proxy with
+    O(h^2) consistency error and an exponentially small truncation term."""
     q_sup = float(np.max(np.abs(disc.q_values)))
-    return max(1e-6, c * disc.h**2 * q_sup + math.exp(-kappa * disc.L) * scale)
+    return max(SL_SLACK_FLOOR, c * disc.h**2 * q_sup + math.exp(-kappa * disc.L) * scale)
 
 
 def containment_report(disc: SLDiscretization, p: float,
@@ -886,10 +891,9 @@ def lemma_ls_check(f: ProbeFunction, g: Potential, p: float, r: float) -> dict:
     return {"lhs": lhs, "rhs": rhs, "holds": lhs <= rhs * (1.0 + LEMMA_SLACK)}
 
 
-def _panel_nodes(lo: float, hi: float, panels_per_decade: int,
-                 nodes_per_panel: int) -> tuple:
+def _panel_nodes(lo: float, hi: float, nodes_per_panel: int) -> tuple:
     decades = max(math.log10(hi / lo), 0.1)
-    num_panels = max(4, math.ceil(decades * panels_per_decade))
+    num_panels = max(4, math.ceil(decades * TAU0_PANELS_PER_DECADE))
     edges = np.geomspace(lo, hi, num_panels + 1)
     xs, ws = np.polynomial.legendre.leggauss(nodes_per_panel)
     nodes, weights = [], []
@@ -900,8 +904,7 @@ def _panel_nodes(lo: float, hi: float, panels_per_decade: int,
     return np.concatenate(nodes), np.concatenate(weights)
 
 
-def tau0_hilbert_form(f1, f2, support: tuple, rel_tol: float = 1e-6,
-                      panels_per_decade: int = 8) -> float:
+def tau0_hilbert_form(f1, f2, support: tuple, rel_tol: float = 1e-6) -> float:
     """Rayleigh quotient of the involution form on a split function (f1, f2)
     supported in (0, inf):
 
@@ -909,8 +912,9 @@ def tau0_hilbert_form(f1, f2, support: tuple, rel_tol: float = 1e-6,
 
     where II integrates (conj(f1(x)) f1(y) + conj(f2(x)) f2(y))/(x+y)
     minus 2 (x+y)/(x^2+y^2) Re(conj(f1(x)) f2(y)) over (0, inf)^2.
-    Product Gauss-Legendre on logarithmic panels; node counts double until
-    the quotient stabilizes to rel_tol, else a QuadratureError is raised.
+    Product Gauss-Legendre on TAU0_PANELS_PER_DECADE logarithmic panels a
+    decade; node counts double until the quotient stabilizes to rel_tol, else
+    a QuadratureError is raised.
 
     ``f2 = None`` means the second component vanishes.
     """
@@ -919,7 +923,7 @@ def tau0_hilbert_form(f1, f2, support: tuple, rel_tol: float = 1e-6,
         raise ValueError("support must satisfy 0 < lo < hi < inf")
 
     def quotient(nodes_per_panel: int) -> float:
-        xs, ws = _panel_nodes(lo, hi, panels_per_decade, nodes_per_panel)
+        xs, ws = _panel_nodes(lo, hi, nodes_per_panel)
         v1 = np.asarray(f1(xs), dtype=complex)
         v2 = (np.zeros_like(v1) if f2 is None
               else np.asarray(f2(xs), dtype=complex))

@@ -69,6 +69,8 @@ REAL_SECTION_ABS_SLACK = 1e-9
 # some next to the real axis); it picks the samples of a reported number and
 # decides no verdict.
 GROWTH_SAMPLE_MIN_IM = 1e-6
+# Gauss-Legendre nodes of region_area's quadrature of a height profile.
+REGION_AREA_NODES = 257
 
 
 class HypothesisUnmetError(ValueError):
@@ -179,18 +181,18 @@ def fit_relative_bound(t_op, s_op, b_grid=DEFAULT_B_GRID) -> list:
 _leggauss_cached = lru_cache(maxsize=16)(np.polynomial.legendre.leggauss)
 
 
-def region_area(regions, nodes: int = 257):
+def region_area(regions):
     """Area of a disk-family region (a float, inf when its centers are
     unbounded), or an array of the areas of a sequence of regions: a 1-D
-    Gauss-Legendre quadrature of each closed-form height profile, all rows
-    evaluated on one stacked (m, nodes) grid by ``disk_family_heights``."""
+    Gauss-Legendre quadrature of each closed-form height profile, all rows on
+    one stacked (m, REGION_AREA_NODES) grid by ``disk_family_heights``."""
     single = isinstance(regions, DiskFamilyRegion)
     regions = [regions] if single else list(regions)
     areas = np.full(len(regions), math.inf)
     bounded = [k for k, r in enumerate(regions) if r.centers.bounded]
     if bounded:
         xmin, xmax = np.array([regions[k].real_extent for k in bounded]).T
-        xs, ws = _leggauss_cached(nodes)
+        xs, ws = _leggauss_cached(REGION_AREA_NODES)
         mid, half = 0.5 * (xmax + xmin), 0.5 * (xmax - xmin)
         heights = disk_family_heights([regions[k] for k in bounded],
                                       mid[:, None] + half[:, None] * xs)
@@ -198,16 +200,15 @@ def region_area(regions, nodes: int = 257):
     return float(areas[0]) if single else areas
 
 
-def random_block_operator(seed: int, max_dim: int = 20,
-                          spectrum_scale: float = 10.0,
-                          coupling_scale: float | None = None) -> BlockOperator:
+def random_block_operator(seed: int, max_dim: int = 20) -> BlockOperator:
     """Random diagonally coupled instance with Hermitian diagonal blocks.
 
-    Diagonal blocks get uniform spectra inside [-spectrum_scale, spectrum_scale]
-    (random sub-windows, so bounded-above/below cases all occur) and a dense
-    complex coupling block with norm on the order of the diagonal scale.
+    Diagonal blocks get uniform spectra inside [-10, 10] (random sub-windows,
+    so bounded-above/below cases all occur) and a dense complex coupling
+    block of norm uniform in [1.1, 5.5], on the order of the diagonal scale.
     """
     rng = np.random.default_rng(seed)
+    spectrum_scale = 10.0  # the generator's scale, not a tolerance
     total = int(rng.integers(2, max_dim + 1))
     n_plus = int(rng.integers(1, total))
     n_minus = total - n_plus
@@ -222,8 +223,7 @@ def random_block_operator(seed: int, max_dim: int = 20,
 
     sp = hermitian_with_spectrum(n_plus)
     sm = hermitian_with_spectrum(n_minus)
-    if coupling_scale is None:
-        coupling_scale = rng.uniform(0.1, 0.5) * (spectrum_scale + 1.0)
+    coupling_scale = rng.uniform(0.1, 0.5) * (spectrum_scale + 1.0)
     m = rng.standard_normal((n_plus, n_minus)) + 1j * rng.standard_normal((n_plus, n_minus))
     m *= coupling_scale / max(np.linalg.norm(m, 2), 1e-300)
     return BlockOperator(s_plus=0.5 * (sp + sp.conj().T),
@@ -231,11 +231,11 @@ def random_block_operator(seed: int, max_dim: int = 20,
 
 
 def random_krein_problem(seed: int, max_dim: int = 20,
-                         strength: float | None = None,
                          definite_fraction: float = 0.25) -> KreinPerturbationProblem:
-    """Random signature, A0 = J P with P Hermitian positive definite, and a
-    J-symmetric V; a ``definite_fraction`` of draws make J V positive
-    semi-definite to exercise the real-spectrum branch."""
+    """Random signature, A0 = J P with P Hermitian positive definite, and
+    V = J W with W Hermitian of norm uniform in [0.05, 1] times norm(P); a
+    ``definite_fraction`` of draws shift W to make J V positive definite,
+    to exercise the real-spectrum branch."""
     rng = np.random.default_rng(seed)
     n = int(rng.integers(2, max_dim + 1))
     sig = np.ones(n)
@@ -246,8 +246,7 @@ def random_krein_problem(seed: int, max_dim: int = 20,
     q, _ = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
     p = (q * pe) @ q.conj().T
     p = 0.5 * (p + p.conj().T)
-    if strength is None:
-        strength = rng.uniform(0.05, 1.0)
+    strength = rng.uniform(0.05, 1.0)
     w = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     w = 0.5 * (w + w.conj().T)
     w *= strength * float(np.max(pe)) / max(np.linalg.norm(w, 2), 1e-300)

@@ -52,12 +52,17 @@ class TestRegionCommand:
             assert my <= py + 1e-12
 
     def test_degenerate_point(self, tmp_path):
+        # gamma = 0 centers the disks on the point +0.0 (not -0.0) in both
+        # the polyline and the region file
         out = tmp_path / "pt.csv"
         code = run(["region", "--kind", "disks", "--a", "0", "--b", "0",
                     "--gamma", "0", "--out", str(out)])
         assert code == 0
-        lines = out.read_text().strip().splitlines()
-        assert lines[1:] == ["0.0,0.0"]
+        assert out.read_bytes() == b"re,im\n0.0,0.0\n"
+        assert (tmp_path / "pt_region.json").read_bytes() == (
+            b'{\n "a": 0.0,\n "b": 0.0,\n "centers": {\n  "intervals": [],\n'
+            b'  "points": [\n   0.0\n  ]\n },\n "gamma": 0.0,\n'
+            b' "kind": "disk-family",\n "radiusScale": 1.0\n}\n')
 
     def test_csv_bytes(self, tmp_path):
         # repr floats, '.' separator, LF endings, one boundary point per line
@@ -348,6 +353,44 @@ class TestSlCommand:
         assert f"{flag} applies to step, gaussian and lorentzian" in \
             capsys.readouterr().err
         assert not (tmp_path / "sl.json").exists()
+
+    @pytest.mark.parametrize("key", ["depth", "width"])
+    def test_tabulated_refuses_well_keys_in_config(self, tmp_path, capsys, key):
+        table = tmp_path / "q.csv"
+        table.write_text("x,q\n-1.0,-2.0\n0.0,-3.0\n1.0,-2.0\n")
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"kind": "tabulated", "file": str(table),
+                                   key: 7, "p": 2, "L": 6, "n": 64}))
+        code = run(["sl", "--config", str(cfg),
+                    "--out", str(tmp_path / "eigs.csv"),
+                    "--report", str(tmp_path / "sl.json")])
+        assert code == 2
+        assert f"config key {key!r} applies to step, gaussian and lorentzian" \
+            in capsys.readouterr().err
+        assert not (tmp_path / "sl.json").exists()
+
+    def test_tabulated_flag_refuses_config_depth(self, tmp_path, capsys):
+        # the kind comes from the flag, the depth from the file
+        table = tmp_path / "q.csv"
+        table.write_text("x,q\n-1.0,-2.0\n0.0,-3.0\n1.0,-2.0\n")
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"kind": "step", "depth": 7, "p": 2,
+                                   "L": 6, "n": 64}))
+        code = run(["sl", "--config", str(cfg), "--kind", "tabulated",
+                    "--file", str(table), "--out", str(tmp_path / "eigs.csv"),
+                    "--report", str(tmp_path / "sl.json")])
+        assert code == 2
+        assert "config key 'depth'" in capsys.readouterr().err
+
+    def test_bad_config_value_refused_under_flag(self, tmp_path, capsys):
+        # the file is validated on its own, so a flag does not mask its error
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"kind": "step", "n": 3}')
+        code = run(["sl", "--config", str(cfg), "--n", "64", "--L", "6",
+                    "--out", str(tmp_path / "eigs.csv"),
+                    "--report", str(tmp_path / "sl.json")])
+        assert code == 2
+        assert "field 'n'" in capsys.readouterr().err
 
     @staticmethod
     def _off_centre_table(path, centre=2.0, depth=6.0):

@@ -791,6 +791,19 @@ class TestSpectrumModel:
         assert m.points == (2.0,)
         assert not m.intervals
 
+    def test_zero_width_interval_is_positive_zero(self):
+        # gamma = 0 gives interval(-0.0, 0.0): its point is +0.0
+        m = SpectrumModel.interval(-0.0, 0.0)
+        assert m.points == (0.0,) and not m.intervals
+        assert math.copysign(1.0, m.points[0]) == 1.0
+        # a given point keeps its sign
+        assert math.copysign(1.0, SpectrumModel.from_points([-0.0]).points[0]) == -1.0
+
+    def test_zero_gamma_enclosure_centers_on_positive_zero(self):
+        _, worse = geometry.tmain_worse(0.0, 0.2, 3.0, -1.0)
+        assert math.copysign(1.0, worse.centers.points[0]) == 1.0
+        assert region_to_json(worse)["gamma"] == 0.0
+
     def test_distance(self):
         m = SpectrumModel(intervals=((0, 1),), points=(5.0,))
         assert m.distance(0.5) == 0.0
