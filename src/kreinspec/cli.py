@@ -44,8 +44,8 @@ def _add_schema_flags(sub, command):
         kwargs = {"default": None, "dest": key,
                   "help": f"({tname}; {desc + '; ' if desc else ''}"
                           f"default {default})"}
-        if tname == "bool":
-            kwargs["action"] = "store_true"
+        if tname == "bool":  # --no-KEY turns off a file's true
+            kwargs["action"] = argparse.BooleanOptionalAction
         elif tname != "str":
             kwargs["type"] = int if tname == "int" else float
         sub.add_argument("--" + key.replace("_", "-"), **kwargs)
@@ -118,15 +118,23 @@ def _run_suite(config: RunConfig, record: RunRecord, trial, payloads,
                own_aggregate, headline: str) -> int:
     """Run ``trial`` on every payload (in a process pool when --jobs > 1 and
     there are several), write the suite report and its run record, and
-    name failing trials on stderr.  ``own_aggregate(summaries)`` gives the
-    command's own aggregate entries; ``headline`` formats the aggregate
-    into the stdout summary."""
+    name failing trials on stderr.  A trial returns its report summary and
+    its diagnostics, {stage: {count name: count}}, which the run record
+    sums over trials.  ``own_aggregate(summaries)`` gives the command's own
+    aggregate entries; ``headline`` formats the aggregate into the stdout
+    summary."""
     p = config.params
     if p["jobs"] > 1 and len(payloads) > 1:
         with ProcessPoolExecutor(max_workers=p["jobs"]) as pool:
-            summaries = list(pool.map(trial, payloads))
+            outcomes = list(pool.map(trial, payloads))
     else:
-        summaries = [trial(pl) for pl in payloads]
+        outcomes = [trial(pl) for pl in payloads]
+    summaries = [summary for summary, _ in outcomes]
+    for _, diagnostics in outcomes:
+        for stage, counts in diagnostics.items():
+            total = record.diagnostics.setdefault(stage, dict.fromkeys(counts, 0))
+            for key, count in counts.items():
+                total[key] += count
     failing = [s for s in summaries if not s["verified"]]
     aggregate = dict(own_aggregate(summaries), trials=len(summaries),
                      failures=len(failing),
@@ -152,7 +160,7 @@ def _matrix_lab_trial(payload):
     index, seed, max_dim, lambda_samples = payload
     block = random_block_operator(seed, max_dim=max_dim)
     report = verify_block_theorem(block, lambda_samples=lambda_samples, seed=seed)
-    return dict(report.to_json(), trial=index, seed=seed)
+    return dict(report.to_json(), trial=index, seed=seed), report.diagnostics
 
 
 def cmd_matrix_lab(args) -> int:
@@ -176,12 +184,14 @@ def cmd_matrix_lab(args) -> int:
 def _perturb_trial(payload):
     index, seed, max_dim, tau = payload
     problem = random_krein_problem(seed, max_dim=max_dim)
-    return dict(verify_tmain(problem, tau=tau).to_json(), trial=index, seed=seed)
+    report = verify_tmain(problem, tau=tau)
+    return dict(report.to_json(), trial=index, seed=seed), report.diagnostics
 
 
 def _perturb_file_trial(payload):
     problem, tau = payload
-    return dict(verify_tmain(problem, tau=tau).to_json(), trial=0)
+    report = verify_tmain(problem, tau=tau)
+    return dict(report.to_json(), trial=0), report.diagnostics
 
 
 def cmd_perturb(args) -> int:

@@ -20,6 +20,7 @@ __all__ = [
     "block_signature",
     "resolvent_factor_norm",
     "resolvent_norm",
+    "certify_resolvent_bound",
     "k_set_membership",
     "min_relative_bound",
     "spectral_projections",
@@ -41,6 +42,10 @@ J0_TRUNCATION = 1e6
 J0_QUAD_TOL = 1e-6
 J0_MAX_DOUBLINGS = 6
 RENORM_SLACK = 1e-8
+# certify_resolvent_bound's error allowance delta = RESOLVENT_GRAM_C (n + 2)
+# eps (norm_F(A) + sqrt(n) |lam|)^2 and its lam stack size.
+RESOLVENT_GRAM_C = 8.0
+RESOLVENT_CHUNK = 128
 
 
 def _as_matrix(x, name: str) -> np.ndarray:
@@ -118,8 +123,11 @@ def _factor_operands(t_op, s_op):
 
 def resolvent_factor_norm(t_op, s_op, lam):
     """Largest singular value of T (S - lam)^{-1} for Hermitian S = U diag(d) U*,
-    taken as that of (T U) / (d - lam): one stacked SVD over an array of lam
-    (a float for a scalar lam).  Rejects lam within ``NEAR_SPECTRUM_TOL``
+    taken as that of B = (T U) / (d - lam): the square root of the largest
+    eigenvalue of the smaller Gram, B B* = (T U) |d - lam|^-2 (T U)* when T
+    has no more rows than columns, else B* B = C / (conj(d - lam) (d - lam)^T)
+    with C = (T U)* (T U); one stacked eigvalsh over an array of lam (a float
+    for a scalar lam).  Rejects lam within ``NEAR_SPECTRUM_TOL``
     max(norm(S), 1) of S's spectrum."""
     tu, d = _factor_operands(t_op, s_op)
     lam = np.asarray(lam, dtype=complex)
@@ -129,8 +137,13 @@ def resolvent_factor_norm(t_op, s_op, lam):
     if np.any(near):
         raise ValueError(f"lambda = {lam[near].flat[0]} is in (or too close to) "
                          "the spectrum of S")
-    norms = np.linalg.svd(tu / shifted[..., None, :], compute_uv=False)
-    return float(norms[0]) if lam.ndim == 0 else norms[..., 0]
+    if tu.shape[0] <= tu.shape[1]:
+        gram = (tu / np.square(np.abs(shifted))[..., None, :]) @ tu.conj().T
+    else:
+        gram = (tu.conj().T @ tu) / (shifted.conj()[..., :, None]
+                                     * shifted[..., None, :])
+    norms = np.sqrt(np.maximum(np.linalg.eigvalsh(gram)[..., -1], 0.0))
+    return float(norms) if lam.ndim == 0 else norms
 
 
 def resolvent_norm(a_op, lam):
@@ -143,6 +156,51 @@ def resolvent_norm(a_op, lam):
     if np.any(smin == 0.0):
         raise ValueError(f"lambda = {lam[smin == 0.0].flat[0]} is an eigenvalue")
     return float(1.0 / smin) if lam.ndim == 0 else 1.0 / smin
+
+
+def certify_resolvent_bound(a_op, lam, limit):
+    """Per lam, whether norm((A - lam)^{-1}) <= limit is certified (a bool for
+    a scalar lam; ``limit`` broadcasts against lam): whether the Cholesky
+    factorization of the Gram
+
+        G = A*A - conj(lam) A - lam A* + (|lam|^2 - limit^-2 - delta) I
+
+    succeeds, which makes sigma_min(A - lam)^2 >= limit^-2 + delta less the
+    errors below.  (A - lam)*(A - lam) = A*A - Re(lam) (A + A*)
+    - Im(lam) i (A* - A) + |lam|^2 I, so each stack of ``RESOLVENT_CHUNK``
+    Grams is one real matmul of per-lam coefficients with those four
+    precomputed matrices.  delta = ``RESOLVENT_GRAM_C`` (n + 2) eps
+    (norm_F(A) + sqrt(n) |lam|)^2 bounds the Gram's rounding
+    (gamma_{n+4} (norm_F(A) + |lam|)^2), the Cholesky's backward error
+    (gamma_{n+1} norm_F(A - lam)^2; Higham 2002, Thm. 10.3) and that of
+    ``resolvent_norm``'s SVD (a few n eps norm(A - lam)^2 on sigma_min^2),
+    so ``resolvent_norm`` does not exceed ``limit`` at a certified lam.
+    A stack in which some Gram is not positive definite leaves all of its
+    lam uncertified; the caller decides those by the SVD."""
+    a_op = _as_matrix(a_op, "A")
+    lam, limit = np.broadcast_arrays(np.asarray(lam, dtype=complex),
+                                     np.asarray(limit, dtype=float))
+    n, flat = a_op.shape[0], lam.ravel()
+    ah = a_op.conj().T
+    basis = np.stack((ah @ a_op, a_op + ah, 1j * (ah - a_op), np.eye(n)))
+    basis = basis.view(float).reshape(4, -1)
+    reach = np.linalg.norm(a_op) + math.sqrt(n) * np.abs(flat)
+    delta = RESOLVENT_GRAM_C * (n + 2) * np.finfo(float).eps * reach * reach
+    coef = np.column_stack((np.ones(flat.size), -flat.real, -flat.imag,
+                            np.square(np.abs(flat)) - limit.ravel() ** -2.0
+                            - delta))
+    certified = np.zeros(flat.size, dtype=bool)
+    gram = np.empty((min(flat.size, RESOLVENT_CHUNK), n, n), dtype=complex)
+    for start in range(0, flat.size, RESOLVENT_CHUNK):
+        chunk = gram[:min(flat.size - start, RESOLVENT_CHUNK)]
+        np.matmul(coef[start:start + len(chunk)], basis,
+                  out=chunk.view(float).reshape(len(chunk), -1))
+        try:
+            np.linalg.cholesky(chunk)
+        except np.linalg.LinAlgError:
+            continue
+        certified[start:start + len(chunk)] = True
+    return bool(certified[0]) if lam.ndim == 0 else certified.reshape(lam.shape)
 
 
 def k_set_membership(t_op, s_op, lam):

@@ -51,6 +51,21 @@ class TestRegionCommand:
             assert mx == px
             assert my <= py + 1e-12
 
+    def test_no_flag_turns_off_config_bool(self, tmp_path):
+        # a config file's true is overridden by --no-overlay-prior, and
+        # --overlay-prior overrides a file's false
+        for value, flag, prior in ((True, "--no-overlay-prior", False),
+                                   (True, None, True),
+                                   (False, "--overlay-prior", True)):
+            cfg = tmp_path / f"{value}{flag}.json"
+            cfg.write_text(json.dumps({"kind": "hull", "a": 3, "b": 0.5,
+                                       "overlay_prior": value}))
+            out = tmp_path / f"{cfg.stem}" / "h.csv"
+            argv = ["region", "--config", str(cfg), "--out", str(out)]
+            assert run(argv + ([flag] if flag else [])) == 0
+            assert out.exists()
+            assert (out.parent / "h_prior.csv").exists() is prior
+
     def test_degenerate_point(self, tmp_path):
         # gamma = 0 centers the disks on the point +0.0 (not -0.0) in both
         # the polyline and the region file
@@ -119,6 +134,19 @@ class TestMatrixLabCommand:
         assert payload["aggregate"]["verified"] is True
         assert payload["aggregate"]["trials"] == 8
         verify_manifest(tmp_path / "run_record.json")
+
+    def test_run_record_sums_resolvent_diagnostics(self, tmp_path):
+        # the run record counts the samples some side made applicable and
+        # how each was decided; the report does not carry them
+        report = tmp_path / "lab.json"
+        assert run(["matrix-lab", "--trials", "6", "--max-dim", "10",
+                    "--seed", "5", "--lambda-samples", "200",
+                    "--report", str(report)]) == 0
+        diag = json.loads((tmp_path / "run_record.json").read_text())[
+            "diagnostics"]["resolvent"]
+        assert diag["applicableSamples"] == diag["certified"] + diag["svd"]
+        assert 0 < diag["applicableSamples"] <= 6 * 200
+        assert "applicableSamples" not in report.read_text()
 
     def test_zero_trials_usage_error(self, tmp_path):
         code = run(["matrix-lab", "--trials", "0",

@@ -9,6 +9,7 @@ from kreinspec.operators import (
     KreinPerturbationProblem,
     assemble_block,
     block_signature,
+    certify_resolvent_bound,
     j0_quadrature,
     k_set_membership,
     min_relative_bound,
@@ -17,6 +18,7 @@ from kreinspec.operators import (
     resolvent_norm,
     spectral_projections,
 )
+from kreinspec.verification import random_block_operator
 
 
 def random_hermitian(rng, n, scale=1.0):
@@ -412,3 +414,68 @@ class TestResolventNorm:
             assert val == pytest.approx(1.0 / np.min(np.abs(d - lam)), rel=1e-12)
             assert val <= 1.0 / abs(lam.imag) + 1e-12 or \
                 np.min(np.abs(d - lam.real)) > 0
+
+
+class TestFactorNormOracle:
+    """The Gram route to nu against the SVD of T (S - lam)^{-1}."""
+
+    @pytest.mark.parametrize("rows, cols", [(3, 17), (6, 6), (9, 4), (20, 1)])
+    def test_matches_svd(self, rows, cols):
+        rng = np.random.default_rng(rows * 100 + cols)
+        t = rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))
+        s = random_hermitian(rng, cols, 4.0)
+        lams = rng.uniform(-6, 6, 200) + 1j * rng.uniform(0.5, 3, 200) \
+            * rng.choice([-1.0, 1.0], 200)
+        oracle = [np.linalg.svd(t @ np.linalg.inv(s - lam * np.eye(cols)),
+                                compute_uv=False)[0] for lam in lams]
+        np.testing.assert_allclose(resolvent_factor_norm(t, s, lams), oracle,
+                                   rtol=1e-13, atol=0.0)
+
+
+class TestCertifyResolventBound:
+    """The Cholesky decision of norm((A - lam)^{-1}) <= limit against the
+    SVD norm, on random blocks and 1000 sample points each."""
+
+    @staticmethod
+    def instances(count=4, samples=1000):
+        for seed in range(count):
+            full = assemble_block(random_block_operator(seed, max_dim=20))
+            scale = max(np.linalg.norm(full, 2), 1.0)
+            rng = np.random.default_rng(seed)
+            lams = rng.uniform(-2 * scale, 2 * scale, samples) + 1j * rng.uniform(
+                1e-3 * scale, 2 * scale, samples) * rng.choice([-1.0, 1.0], samples)
+            yield full, lams, resolvent_norm(full, lams)
+
+    def test_never_certifies_above_the_limit(self):
+        for full, lams, res in self.instances():
+            rng = np.random.default_rng(7)
+            for spread in (1e-3, 1e-9):
+                limit = res * (1.0 + spread * rng.uniform(-1.0, 1.0, res.size))
+                ok = np.array([certify_resolvent_bound(full, lam, cap)
+                               for lam, cap in zip(lams, limit)])
+                assert not np.any(ok & (res > limit))
+                assert ok.sum() > 0.9 * np.sum(res <= limit)
+
+    def test_limit_just_below_the_norm_certifies_none(self):
+        for full, lams, res in self.instances():
+            assert not np.any(certify_resolvent_bound(full, lams,
+                                                      res * (1.0 - 1e-12)))
+            assert not any(certify_resolvent_bound(full, lam, r * (1.0 - 1e-12))
+                           for lam, r in zip(lams[:100], res[:100]))
+
+    def test_limit_above_the_norm_certifies_all(self):
+        for full, lams, res in self.instances():
+            assert np.all(certify_resolvent_bound(full, lams, res * 1.001))
+
+    def test_eigenvalue_never_certified(self):
+        exact = np.diag([1.0, 2.0 + 1.0j, -3.0])
+        assert certify_resolvent_bound(exact, 2.0 + 1.0j, np.inf) is False
+        for full, _, _ in self.instances(count=2):
+            for lam in np.linalg.eigvals(full):
+                assert certify_resolvent_bound(full, lam, 1e300) is False
+
+    def test_scalar_and_empty_calls(self):
+        full, lams, res = next(self.instances(count=1))
+        assert certify_resolvent_bound(full, lams[0], 2.0 * res[0]) is True
+        out = certify_resolvent_bound(full, np.array([], dtype=complex), 1.0)
+        assert out.shape == (0,) and out.dtype == bool
