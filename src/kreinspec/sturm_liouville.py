@@ -17,7 +17,7 @@ import numpy as np
 
 from .geometry import SLBox
 from .reporting import ConfigError
-from .verification import VerificationReport, inertia_points
+from .verification import VerificationReport, _leggauss_cached, inertia_points
 
 __all__ = [
     "QuadratureError",
@@ -55,12 +55,56 @@ __all__ = [
 ]
 
 
-def quad(*args, **kwargs):
-    """``scipy.integrate.quad``, imported on first use (it is slow to load);
-    the quadratures look this name up at call time, so it can be replaced."""
-    from scipy.integrate import quad as scipy_quad
+def quad(func, a: float, b: float, points=()) -> tuple:
+    """Integral of ``func`` over [a, b], a < b, and an estimate of its
+    absolute error.
 
-    return scipy_quad(*args, **kwargs)
+    ``func`` is evaluated on arrays, once per round, on the Gauss nodes of
+    every open panel.  The first panels are [a, b] split at ``points``, the
+    places where ``func`` may jump or kink.  Each round compares every open
+    panel's _QUAD_NODES-point Gauss-Legendre value with the sum over its two
+    halves: a panel whose difference is within its width's share of
+    _QUAD_RTOL times the integral is accepted with the halves' sum, the
+    others are bisected.  The error estimate is the sum of the differences,
+    including those of the panels still open after _QUAD_MAX_DEPTH
+    bisections or when more than _QUAD_MAX_PANELS would be open.  A
+    non-finite value of ``func`` ends the quadrature with (nan, inf).
+    """
+    xs, ws = _leggauss_cached(_QUAD_NODES)
+    m = len(xs)
+    edges = np.unique([a, b, *(x for x in points if a < x < b)])
+    lo, hi = edges[:-1], edges[1:]
+    whole = None  # Gauss values of the open panels, once known
+    value = error = 0.0
+    for depth in range(_QUAD_MAX_DEPTH + 1):
+        mid, quarter = 0.5 * (lo + hi), 0.25 * (hi - lo)
+        centers = np.stack([mid - quarter, mid + quarter], axis=1)
+        nodes = (centers[..., None] + quarter[:, None, None] * xs).ravel()
+        if whole is None:
+            nodes = np.concatenate(
+                [nodes, (mid[:, None] + 2.0 * quarter[:, None] * xs).ravel()])
+        vals = np.asarray(func(nodes), dtype=float)
+        if not np.all(np.isfinite(vals)):
+            return math.nan, math.inf
+        k = len(lo)
+        halves = vals[:2 * k * m].reshape(k, 2, m) @ ws * quarter[:, None]
+        if whole is None:
+            whole = vals[2 * k * m:].reshape(k, m) @ ws * (2.0 * quarter)
+        sums = halves.sum(axis=1)
+        diff = np.abs(whole - sums)
+        target = _QUAD_RTOL * abs(value + sums.sum()) / (b - a)
+        done = diff <= target * (hi - lo)
+        if depth == _QUAD_MAX_DEPTH or 2 * (k - done.sum()) > _QUAD_MAX_PANELS:
+            done[:] = True
+        value += float(sums[done].sum())
+        error += float(diff[done].sum())
+        if done.all():
+            break
+        keep = ~done
+        lo = np.stack([lo[keep], mid[keep]], axis=1).ravel()
+        hi = np.stack([mid[keep], hi[keep]], axis=1).ravel()
+        whole = halves[keep].ravel()
+    return value, error
 
 
 class QuadratureError(ArithmeticError):
@@ -83,6 +127,13 @@ LEMMA_SLACK = 1e-6
 # A quadrature of the multiplier check (the probe norms and the left side)
 # fails when its error estimate exceeds LEMMA_QUAD_TOL times its value.
 LEMMA_QUAD_TOL = 1e-8
+# quad's relative target, four orders inside LEMMA_QUAD_TOL; its Gauss points
+# per panel; its bisection depth (2^-50 of [a, b] is a few ulps of b - a);
+# the most panels it keeps open in one round.
+_QUAD_RTOL = 1e-12
+_QUAD_NODES = 16
+_QUAD_MAX_DEPTH = 50
+_QUAD_MAX_PANELS = 1000
 # A Ritz pair (theta, x) of the certified solver has converged when its
 # backward residual norm(T x - theta S x) / (norm(T) norm(x)) is at most this.
 SL_RESIDUAL_TOL = 1e-14
@@ -783,9 +834,11 @@ def containment_report(disc: SLDiscretization, p: float,
 class ProbeFunction:
     """Smooth decaying function with an exactly known second derivative.
 
-    Its norms do not depend on the exponent or the radius of a multiplier
-    check, so each is computed once per probe: ``norm`` and ``fpp_norm`` are
-    cached, and ``product_norm`` memoizes norm(f g) per potential g.
+    ``f`` and ``fpp`` are evaluated on arrays (``quad`` passes all the nodes
+    of a round at once) and return arrays of the same shape.  Its norms do
+    not depend on the exponent or the radius of a multiplier check, so each
+    is computed once per probe: ``norm`` and ``fpp_norm`` are cached, and
+    ``product_norm`` memoizes norm(f g) per potential g.
     """
 
     label: str
@@ -843,27 +896,33 @@ class ProbeFunction:
     def product_norm(self, g: Potential) -> float:
         """L2 norm of f g over the wider of the probe's window and g's
         (30 widths, or the table's reach), computed once per equal-valued
-        potential.  A quadrature whose error estimate exceeds
-        ``LEMMA_QUAD_TOL`` of its value raises ``QuadratureError`` and is
-        not memoized."""
+        potential.  The quadrature's first panels end at g's kinks: +-width
+        for a step, the table abscissae for a tabulated g.  A quadrature
+        whose value or error estimate is not finite, or whose error estimate
+        exceeds ``LEMMA_QUAD_TOL`` of its value, raises ``QuadratureError``
+        and is not memoized."""
         if g not in self._product_norms:
-            g_window = (max(np.max(np.abs(g.table[0])), 1.0)
-                        if g.kind == "tabulated" else 30.0 * g.width)
+            if g.kind == "tabulated":
+                kinks = g.table[0]
+                g_window = max(np.max(np.abs(kinks)), 1.0)
+            else:
+                kinks = (-g.width, g.width) if g.kind == "step" else ()
+                g_window = 30.0 * g.width
             window = max(self.window, g_window)
-            val, err = quad(lambda x: abs(self.f(x) * g.values(x)) ** 2,
-                            -window, window, limit=800, epsabs=0.0,
-                            epsrel=1e-12, points=None)
-            if val > 0 and err > LEMMA_QUAD_TOL * val:
-                raise QuadratureError(f"lhs quadrature error {err:.2e} too large")
-            self._product_norms[g] = math.sqrt(max(val, 0.0))
+            self._product_norms[g] = _l2_norm(
+                lambda x: self.f(x) * g.values(x), window, kinks, side="lhs")
         return self._product_norms[g]
 
 
-def _l2_norm(func, window: float) -> float:
-    val, err = quad(lambda x: abs(func(x)) ** 2, -window, window,
-                    limit=400, epsabs=0.0, epsrel=1e-12)
-    if val < 0 or (val > 0 and err > LEMMA_QUAD_TOL * val):
-        raise QuadratureError(f"norm quadrature error {err:.2e} too large")
+def _l2_norm(func, window: float, points=(), side: str = "norm") -> float:
+    """L2 norm of func over [-window, window] by ``quad``, gated: a value or
+    error estimate that is not finite, or an error estimate above
+    LEMMA_QUAD_TOL of the value, raises QuadratureError."""
+    val, err = quad(lambda x: np.abs(func(x)) ** 2, -window, window, points)
+    if not (math.isfinite(val) and math.isfinite(err) and val >= 0
+            and (val == 0 or err <= LEMMA_QUAD_TOL * val)):
+        raise QuadratureError(
+            f"{side} quadrature {val:.6g} with error estimate {err:.2e}")
     return math.sqrt(val)
 
 

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from scipy.integrate import quad
+from scipy.integrate import quad as scipy_quad
 
 from kreinspec import sturm_liouville
 from kreinspec.reporting import ConfigError
@@ -154,13 +154,13 @@ class TestLpNorm:
         for p in (2.0, 3.5, 7.0):
             closed = lp_norm(q, p)
             assert closed == pytest.approx(2.0 * (math.pi / p) ** (1 / (2 * p)))
-            val, _ = quad(lambda x: abs(q.values(x)) ** p, -40, 40)
+            val, _ = scipy_quad(lambda x: abs(q.values(x)) ** p, -40, 40)
             assert closed == pytest.approx(val ** (1 / p), rel=1e-8)
 
     def test_lorentzian_against_quadrature(self):
         q = Potential(kind="lorentzian", depth=1.5, width=2.0)
         for p in (2.0, 4.0):
-            val, _ = quad(lambda x: abs(q.values(x)) ** p, -np.inf, np.inf)
+            val, _ = scipy_quad(lambda x: abs(q.values(x)) ** p, -np.inf, np.inf)
             assert lp_norm(q, p) == pytest.approx(val ** (1 / p), rel=1e-8)
 
     def test_tabulated_segment_exact(self):
@@ -602,7 +602,7 @@ class TestLemmaChecker:
         f = ProbeFunction.gaussian(alpha=math.pi)
         g = Potential(kind="tabulated", table=([0.0, 1.0], [1.0, 1.0]))
         out = lemma_ls_check(f, g, p=2.0, r=1.0)
-        lhs_expected, _ = quad(lambda x: math.exp(-2 * math.pi * x * x), 0, 1)
+        lhs_expected, _ = scipy_quad(lambda x: math.exp(-2 * math.pi * x * x), 0, 1)
         lhs_expected = math.sqrt(lhs_expected)
         # norm of f'' for alpha = pi: sqrt(3) * pi * 2^(-1/4)
         fpp_norm = math.sqrt(3) * math.pi * 2 ** -0.25
@@ -635,32 +635,27 @@ class TestLemmaChecker:
         norm_f = (math.pi / 2) ** 0.25
         assert out["rhs"] == pytest.approx(2.0 * norm_f, rel=1e-8)
 
+    @staticmethod
+    def _count_quad(monkeypatch):
+        calls = []
+        original = sturm_liouville.quad
+
+        def counting_quad(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(sturm_liouville, "quad", counting_quad)
+        return calls
+
     def test_probe_norms_computed_once(self, monkeypatch):
         f = ProbeFunction.gaussian(alpha=0.7, center=0.3)
         g = Potential(kind="gaussian", depth=1.0, width=2.0)
         first = lemma_ls_check(f, g, p=3.0, r=0.5)
-        calls = []
-
-        def counting_quad(*args, **kwargs):
-            calls.append(1)
-            return quad(*args, **kwargs)
-
-        monkeypatch.setattr(sturm_liouville, "quad", counting_quad)
+        calls = self._count_quad(monkeypatch)
         assert lemma_ls_check(f, g, p=3.0, r=0.5) == first
         assert len(calls) == 0  # both norms and the left side are cached
         assert f.norm == sturm_liouville._l2_norm(f.f, f.window)
         assert f.fpp_norm == sturm_liouville._l2_norm(f.fpp, f.window)
-
-    @staticmethod
-    def _count_quad(monkeypatch):
-        calls = []
-
-        def counting_quad(*args, **kwargs):
-            calls.append(1)
-            return quad(*args, **kwargs)
-
-        monkeypatch.setattr(sturm_liouville, "quad", counting_quad)
-        return calls
 
     def test_left_side_once_per_potential(self, monkeypatch):
         f = ProbeFunction.hermite(2)
@@ -679,18 +674,84 @@ class TestLemmaChecker:
         assert len(calls) == 2
 
     def test_product_norm_matches_direct_quadrature(self):
+        # scipy's QUADPACK, given the same breakpoints, as the reference
         f = ProbeFunction.gaussian(alpha=0.7, center=0.3)
-        for g in (Potential(kind="lorentzian", depth=1.5, width=0.8),
-                  Potential(kind="tabulated",
-                            table=([-3.0, -0.5, 2.0], [1.0, -2.0, 0.5]))):
+        for g, kinks in ((Potential(kind="lorentzian", depth=1.5, width=0.8),
+                          None),
+                         (Potential(kind="tabulated",
+                                    table=([-3.0, -0.5, 2.0], [1.0, -2.0, 0.5])),
+                          [-3.0, -0.5, 2.0])):
             g_window = (max(np.max(np.abs(g.table[0])), 1.0)
                         if g.kind == "tabulated" else 30.0 * g.width)
             window = max(f.window, g_window)
-            val, _ = quad(lambda x: abs(f.f(x) * g.values(x)) ** 2,
-                          -window, window, limit=800, epsabs=0.0,
-                          epsrel=1e-12, points=None)
-            assert f.product_norm(g) == math.sqrt(val)
-            assert lemma_ls_check(f, g, p=2.0, r=1.0)["lhs"] == math.sqrt(val)
+            val, _ = scipy_quad(lambda x: abs(f.f(x) * g.values(x)) ** 2,
+                                -window, window, limit=800, epsabs=0.0,
+                                epsrel=1e-13, points=kinks)
+            assert f.product_norm(g) == pytest.approx(math.sqrt(val), rel=1e-11)
+            assert lemma_ls_check(f, g, p=2.0, r=1.0)["lhs"] == f.product_norm(g)
+
+    def test_odd_probe_against_step_closed_form(self):
+        # int_{-c}^{c} x^(2n) exp(-x^2) dx: M_0 = sqrt(pi) erf(c),
+        # M_n = (2n - 1)/2 M_(n-1) - c^(2n-1) exp(-c^2)
+        def moments(c, count):
+            out = [math.sqrt(math.pi) * math.erf(c)]
+            for n in range(1, count):
+                out.append((2 * n - 1) / 2 * out[-1]
+                           - c ** (2 * n - 1) * math.exp(-c * c))
+            return out
+
+        m = moments(1.0, 2)
+        # hermite(1) = 2x exp(-x^2/2) against the unit step on [-1, 1]
+        expected = math.sqrt(4 * m[1])
+        assert expected == pytest.approx(1.2311696741570346, rel=1e-15)
+        out = lemma_ls_check(ProbeFunction.hermite(1), Potential(kind="step"),
+                             p=2, r=1)
+        assert out["lhs"] == pytest.approx(expected, rel=1e-12)
+        # hermite(3) = (8x^3 - 12x) exp(-x^2/2) against depth 4 on [-1/2, 1/2]
+        m = moments(0.5, 4)
+        expected = 4.0 * math.sqrt(64 * m[3] - 192 * m[2] + 144 * m[1])
+        assert expected == pytest.approx(11.633153033872425, rel=1e-13)
+        lhs = ProbeFunction.hermite(3).product_norm(
+            Potential(kind="step", depth=4.0, width=0.5))
+        assert lhs == pytest.approx(expected, rel=1e-12)
+
+    def test_first_panels_end_at_the_kinks(self):
+        # f g is smooth on every first panel, so a few rounds suffice; a
+        # panel across a kink is bisected down to the depth limit
+        h = ProbeFunction.hermite(1)
+        for g in (Potential(kind="step", depth=4.0, width=0.5),
+                  Potential(kind="tabulated",
+                            table=([-3.0, -0.5, 2.0], [1.0, -2.0, 0.5]))):
+            rounds = []
+
+            def f(x):
+                rounds.append(1)
+                return h.f(x)
+
+            probe = ProbeFunction(label="counted", f=f, fpp=h.fpp,
+                                  window=h.window)
+            assert probe.product_norm(g) > 0
+            assert len(rounds) <= 4, g.kind
+
+    def test_non_finite_quadrature_raises(self, monkeypatch):
+        nan_probe = ProbeFunction(label="nan", f=lambda x: np.full_like(x, np.nan),
+                                  fpp=lambda x: np.full_like(x, np.nan),
+                                  window=5.0)
+        with pytest.raises(sturm_liouville.QuadratureError, match="norm"):
+            sturm_liouville._l2_norm(nan_probe.f, nan_probe.window)
+        g = Potential(kind="step")
+        for _ in range(2):
+            with pytest.raises(sturm_liouville.QuadratureError, match="lhs"):
+                nan_probe.product_norm(g)
+        assert g not in nan_probe._product_norms
+        # |f|^2 = 1/|x| is not integrable at 0
+        with pytest.raises(sturm_liouville.QuadratureError, match="norm"):
+            sturm_liouville._l2_norm(lambda x: np.abs(x) ** -0.5, 14.0)
+        for result in ((math.inf, 0.0), (0.0, math.inf)):
+            monkeypatch.setattr(sturm_liouville, "quad",
+                                lambda *args, result=result: result)
+            with pytest.raises(sturm_liouville.QuadratureError, match="lhs"):
+                ProbeFunction.hermite(0).product_norm(g)
 
     def test_failed_quadrature_is_not_cached(self, monkeypatch):
         f = ProbeFunction.gaussian(alpha=1.0)
@@ -700,7 +761,7 @@ class TestLemmaChecker:
         for _ in range(2):
             with pytest.raises(sturm_liouville.QuadratureError, match="lhs"):
                 f.product_norm(g)
-        monkeypatch.setattr(sturm_liouville, "quad", quad)
+        monkeypatch.undo()
         assert f.product_norm(g) > 0
 
     def test_memo_leaves_probe_identity_alone(self):
@@ -800,5 +861,56 @@ class TestLazyImports:
                               env=dict(os.environ, PYTHONPATH=src))
         assert done.stdout.strip() == "[]"
 
-    def test_quad_forwards_to_scipy(self):
-        assert sturm_liouville.quad(math.cos, 0.0, 1.0) == quad(math.cos, 0.0, 1.0)
+    def test_lemma_check_loads_no_scipy_integrate(self):
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        probe = (
+            "import sys, kreinspec\n"
+            "from kreinspec.sturm_liouville import Potential, ProbeFunction, "
+            "lemma_ls_check\n"
+            "f = ProbeFunction.gaussian(alpha=0.7, center=0.3)\n"
+            "for g in (Potential(kind='step'), Potential(kind='gaussian'),\n"
+            "          Potential(kind='lorentzian'),\n"
+            "          Potential(kind='tabulated',\n"
+            "                    table=([-3.0, -0.5, 2.0], [1.0, -2.0, 0.5]))):\n"
+            "    assert lemma_ls_check(f, g, p=3.0, r=0.5)['holds']\n"
+            "print('scipy.integrate' in sys.modules)\n")
+        done = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                              text=True, timeout=120, check=True,
+                              env=dict(os.environ, PYTHONPATH=src))
+        assert done.stdout.strip() == "False"
+
+
+class TestQuad:
+    def test_gaussian_by_erf(self):
+        seen = []
+
+        def func(x):
+            seen.append(x)
+            return np.exp(-x * x)
+
+        val, err = sturm_liouville.quad(func, -2.0, 3.0)
+        expected = math.sqrt(math.pi) / 2 * (math.erf(3.0) + math.erf(2.0))
+        assert val == pytest.approx(expected, rel=1e-14)
+        assert 0 <= err <= 1e-12 * val
+        # one array evaluation per round, a handful of rounds
+        assert all(isinstance(x, np.ndarray) and x.ndim == 1 for x in seen)
+        assert len(seen) <= 5
+
+    def test_jump_located_by_its_points(self):
+        # a box of width 0.02 far from every node of the first panels
+        def box(x):
+            return np.where(np.abs(x - 0.3) <= 0.01, 1.0, 0.0)
+
+        val, err = sturm_liouville.quad(box, -30.0, 30.0, points=(0.29, 0.31))
+        assert val == pytest.approx(0.02, rel=1e-13)
+        assert err <= 1e-14
+        assert sturm_liouville.quad(box, -30.0, 30.0)[0] != pytest.approx(0.02)
+
+    def test_points_outside_are_ignored_and_zero_integrand(self):
+        val, err = sturm_liouville.quad(np.cos, 0.0, 1.0, points=(-1.0, 0.0, 2.0))
+        assert val == pytest.approx(math.sin(1.0), rel=1e-15)
+        assert sturm_liouville.quad(np.zeros_like, -1.0, 1.0) == (0.0, 0.0)
+
+    def test_non_finite_integrand(self):
+        val, err = sturm_liouville.quad(lambda x: np.full_like(x, np.nan), -1, 1)
+        assert math.isnan(val) and math.isinf(err)
