@@ -896,19 +896,23 @@ class ProbeFunction:
     def product_norm(self, g: Potential) -> float:
         """L2 norm of f g over the wider of the probe's window and g's
         (30 widths, or the table's reach), computed once per equal-valued
-        potential.  The quadrature's first panels end at g's kinks: +-width
-        for a step, the table abscissae for a tabulated g.  A quadrature
-        whose value or error estimate is not finite, or whose error estimate
-        exceeds ``LEMMA_QUAD_TOL`` of its value, raises ``QuadratureError``
-        and is not memoized."""
+        potential.  The quadrature's first panels end at g's kinks: the
+        table abscissae for a tabulated g; for a closed-form well
+        +-width 4^k, k = 0, 1, ..., inside the window, which are a step's
+        jumps and grade the panels toward a well narrower than the window,
+        so that no panel's nodes all miss it.  A quadrature whose value or
+        error estimate is not finite, or whose error estimate exceeds
+        ``LEMMA_QUAD_TOL`` of its value, raises ``QuadratureError`` and is
+        not memoized."""
         if g not in self._product_norms:
             if g.kind == "tabulated":
                 kinks = g.table[0]
-                g_window = max(np.max(np.abs(kinks)), 1.0)
+                window = max(self.window, np.max(np.abs(kinks)), 1.0)
             else:
-                kinks = (-g.width, g.width) if g.kind == "step" else ()
-                g_window = 30.0 * g.width
-            window = max(self.window, g_window)
+                window = max(self.window, 30.0 * g.width)
+                grades = math.ceil(math.log(window / g.width, 4.0))
+                steps = g.width * 4.0 ** np.arange(grades)
+                kinks = np.concatenate([-steps, steps])
             self._product_norms[g] = _l2_norm(
                 lambda x: self.f(x) * g.values(x), window, kinks, side="lhs")
         return self._product_norms[g]
