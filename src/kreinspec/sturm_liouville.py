@@ -347,10 +347,8 @@ def lp_norm(q: Potential, p: float) -> float:
     if q.kind == "gaussian":
         return q.depth * (q.width * math.sqrt(math.pi / p)) ** (1.0 / p)
     if q.kind == "lorentzian":
-        from scipy.special import gammaln  # imported on first use
-
         log_int = (math.log(q.width) + 0.5 * math.log(math.pi)
-                   + gammaln(p - 0.5) - gammaln(p))
+                   + math.lgamma(p - 0.5) - math.lgamma(p))
         return q.depth * math.exp(log_int / p)
     tx, tq = np.asarray(q.table[0]), np.asarray(q.table[1])
     total = 0.0
@@ -362,7 +360,7 @@ def lp_norm(q: Potential, p: float) -> float:
             num = (abs(q1) ** (p + 1) * math.copysign(1.0, q1)
                    - abs(q0) ** (p + 1) * math.copysign(1.0, q0))
             total += num / (slope * (p + 1))
-    return total ** (1.0 / p)
+    return float(total ** (1.0 / p))
 
 
 @dataclass
@@ -845,6 +843,8 @@ class ProbeFunction:
     f: object
     fpp: object
     window: float  # quadrature window half-width: values negligible beyond
+    # where the first panels of ``norm`` and ``fpp_norm`` end
+    points: tuple = ()
     # product_norm's memo, keyed by the frozen (hashable) Potential g
     _product_norms: dict = field(default_factory=dict, init=False,
                                  repr=False, compare=False)
@@ -861,9 +861,17 @@ class ProbeFunction:
             u = x - center
             return (4 * alpha**2 * u**2 - 2 * alpha) * np.exp(-alpha * u**2)
 
+        # the center and center +- alpha^(-1/2) 4^k, k = 0, 1, ..., grade
+        # the first panels toward a bump much narrower than the window
         window = abs(center) + math.sqrt(60.0 / alpha)
+        scale = alpha ** -0.5
+        grades = math.ceil(math.log(2.0 * window / scale, 4.0))
+        steps = scale * 4.0 ** np.arange(grades)
+        points = tuple(float(x) for x in
+                       (center, *(center - steps), *(center + steps))
+                       if abs(x) < window)
         return cls(label=f"gaussian(alpha={alpha}, center={center})",
-                   f=f, fpp=fpp, window=window)
+                   f=f, fpp=fpp, window=window, points=points)
 
     @classmethod
     def hermite(cls, k: int):
@@ -885,13 +893,15 @@ class ProbeFunction:
 
     @cached_property
     def norm(self) -> float:
-        """L2 norm of f over the window, computed once per probe."""
-        return _l2_norm(self.f, self.window)
+        """L2 norm of f over the window, its first panels split at
+        ``points``, computed once per probe; 0 raises QuadratureError."""
+        return _l2_norm(self.f, self.window, self.points)
 
     @cached_property
     def fpp_norm(self) -> float:
-        """L2 norm of f'' over the window, computed once per probe."""
-        return _l2_norm(self.fpp, self.window)
+        """L2 norm of f'' over the window, its first panels split at
+        ``points``, computed once per probe; 0 raises QuadratureError."""
+        return _l2_norm(self.fpp, self.window, self.points, side="fpp_norm")
 
     def product_norm(self, g: Potential) -> float:
         """L2 norm of f g over the wider of the probe's window and g's
@@ -900,7 +910,8 @@ class ProbeFunction:
         table abscissae for a tabulated g; for a closed-form well
         +-width 4^k, k = 0, 1, ..., inside the window, which are a step's
         jumps and grade the panels toward a well narrower than the window,
-        so that no panel's nodes all miss it.  A quadrature whose value or
+        so that no panel's nodes all miss it; and at the probe's ``points``,
+        for a probe narrower than the well.  A quadrature whose value or
         error estimate is not finite, or whose error estimate exceeds
         ``LEMMA_QUAD_TOL`` of its value, raises ``QuadratureError`` and is
         not memoized."""
@@ -914,17 +925,19 @@ class ProbeFunction:
                 steps = g.width * 4.0 ** np.arange(grades)
                 kinks = np.concatenate([-steps, steps])
             self._product_norms[g] = _l2_norm(
-                lambda x: self.f(x) * g.values(x), window, kinks, side="lhs")
+                lambda x: self.f(x) * g.values(x), window,
+                [*kinks, *self.points], side="lhs")
         return self._product_norms[g]
 
 
 def _l2_norm(func, window: float, points=(), side: str = "norm") -> float:
     """L2 norm of func over [-window, window] by ``quad``, gated: a value or
     error estimate that is not finite, or an error estimate above
-    LEMMA_QUAD_TOL of the value, raises QuadratureError."""
+    LEMMA_QUAD_TOL of the value, raises QuadratureError, and so does a value
+    of 0 unless side is "lhs" (a probe's norms are positive; f g may vanish)."""
     val, err = quad(lambda x: np.abs(func(x)) ** 2, -window, window, points)
     if not (math.isfinite(val) and math.isfinite(err) and val >= 0
-            and (val == 0 or err <= LEMMA_QUAD_TOL * val)):
+            and (err <= LEMMA_QUAD_TOL * val if val > 0 else side == "lhs")):
         raise QuadratureError(
             f"{side} quadrature {val:.6g} with error estimate {err:.2e}")
     return math.sqrt(val)
@@ -954,17 +967,54 @@ def lemma_ls_check(f: ProbeFunction, g: Potential, p: float, r: float) -> dict:
     return {"lhs": lhs, "rhs": rhs, "holds": lhs <= rhs * (1.0 + LEMMA_SLACK)}
 
 
-def _panel_nodes(lo: float, hi: float, nodes_per_panel: int) -> tuple:
+def _hilbert_quotient(f1, f2, lo: float, hi: float, m: int) -> float:
+    """One pass of tau0_hilbert_form's rule, m nodes a panel.
+
+    P = max(4, ceil(decades TAU0_PANELS_PER_DECADE)) panels [rho_p, rho_p r],
+    rho_p = lo r^p, r = (hi/lo)^(1/P); panel p holds the nodes rho_p xi and
+    the weights rho_p omega of the m-point Gauss-Legendre rule (xi, omega) on
+    [1, r].  Both kernels K are homogeneous of degree -1, so the kernel
+    between panels p and p + d is G_d / rho_p, G_d[k, l] = K(xi_k, r^d xi_l):
+    the N x N kernel matrix (N = P m) is block-Toeplitz up to the 1/rho_p
+    rows, and no N x N array is built.  With U the N x 4 columns Re a, Im a,
+    Re b, Im b (a = w f1, b = w f2) and U' the same with the halves swapped,
+    II = tr(U^T K1 U) - tr(U^T K2 U'), as K2 is symmetric.  The block of
+    panels (p + d, p) is the transpose of (p, p + d), so the lags d >= 0
+    suffice, each d > 0 counted twice: lag d adds tr(S^T [G1_d, -G2_d]
+    [U_d; U'_d]), one m x 2m block against U / rho_p on the panels p < P - d
+    (S) and U, U' on the panels p + d.
+    """
     decades = max(math.log10(hi / lo), 0.1)
     num_panels = max(4, math.ceil(decades * TAU0_PANELS_PER_DECADE))
-    edges = np.geomspace(lo, hi, num_panels + 1)
-    xs, ws = np.polynomial.legendre.leggauss(nodes_per_panel)
-    nodes, weights = [], []
-    for a, b in zip(edges[:-1], edges[1:]):
-        mid, half = 0.5 * (a + b), 0.5 * (b - a)
-        nodes.append(mid + half * xs)
-        weights.append(half * ws)
-    return np.concatenate(nodes), np.concatenate(weights)
+    ratio = (hi / lo) ** (1.0 / num_panels)
+    rho = lo * ratio ** np.arange(num_panels)
+    xs, ws = _leggauss_cached(m)
+    xi = 0.5 * (ratio + 1.0) + 0.5 * (ratio - 1.0) * xs
+    weights = np.outer(rho, 0.5 * (ratio - 1.0) * ws).ravel()
+    nodes = np.outer(rho, xi).ravel()
+    v1 = np.asarray(f1(nodes), dtype=complex)
+    v2 = (np.zeros_like(v1) if f2 is None
+          else np.asarray(f2(nodes), dtype=complex))
+    norm_sq = float(np.sum(weights * (np.abs(v1) ** 2 + np.abs(v2) ** 2)))
+    if norm_sq <= 0:
+        raise ValueError("probe has zero norm on its support")
+    a, b = weights * v1, weights * v2
+    cols = np.stack([a.real, a.imag, b.real, b.imag], axis=-1)
+    cols = np.ascontiguousarray(  # (node, panel, column)
+        cols.reshape(num_panels, m, 4).transpose(1, 0, 2))
+    scaled = cols / rho[:, None]
+    stacked = np.concatenate([cols, cols[..., [2, 3, 0, 1]]])
+    ii = 0.0
+    for d in range(num_panels):
+        y = ratio ** d * xi
+        xsum = xi[:, None] + y
+        hyp = np.hypot(xi[:, None], y)  # x^2 + y^2 = hyp^2 without overflow
+        block = np.hstack([1.0 / xsum, -xsum / hyp / hyp])
+        part = float(np.einsum("kj,kj->",
+                               scaled[:, :num_panels - d].reshape(m, -1),
+                               block @ stacked[:, d:].reshape(2 * m, -1)))
+        ii += part if d == 0 else 2.0 * part
+    return 1.0 + (2.0 / math.pi) * ii / norm_sq
 
 
 def tau0_hilbert_form(f1, f2, support: tuple, rel_tol: float = 1e-6) -> float:
@@ -975,41 +1025,26 @@ def tau0_hilbert_form(f1, f2, support: tuple, rel_tol: float = 1e-6) -> float:
 
     where II integrates (conj(f1(x)) f1(y) + conj(f2(x)) f2(y))/(x+y)
     minus 2 (x+y)/(x^2+y^2) Re(conj(f1(x)) f2(y)) over (0, inf)^2.
-    Product Gauss-Legendre on TAU0_PANELS_PER_DECADE logarithmic panels a
-    decade; node counts double until the quotient stabilizes to rel_tol, else
-    a QuadratureError is raised.
+    Product Gauss-Legendre on TAU0_PANELS_PER_DECADE geometric panels a
+    decade, m nodes a panel.  The kernels 1/(x+y) and (x+y)/(x^2+y^2) are
+    homogeneous of degree -1, the Hilbert-type kernels of Hardy, Littlewood
+    and Polya (Inequalities, ch. IX), so on geometric panels the kernel
+    matrix is block-Toeplitz: m x m blocks, one per lag between the P
+    panels, make up each quadratic form (``_hilbert_quotient``), and memory
+    grows as N = P m, not N^2.  m doubles from 8 until the quotient
+    stabilizes to rel_tol, else a QuadratureError is raised.
 
     ``f2 = None`` means the second component vanishes.
     """
     lo, hi = float(support[0]), float(support[1])
-    if not (0.0 < lo < hi < math.inf):
-        raise ValueError("support must satisfy 0 < lo < hi < inf")
-
-    def quotient(nodes_per_panel: int) -> float:
-        xs, ws = _panel_nodes(lo, hi, nodes_per_panel)
-        v1 = np.asarray(f1(xs), dtype=complex)
-        v2 = (np.zeros_like(v1) if f2 is None
-              else np.asarray(f2(xs), dtype=complex))
-        n1 = float(np.sum(ws * np.abs(v1) ** 2))
-        n2 = float(np.sum(ws * np.abs(v2) ** 2))
-        if n1 + n2 <= 0:
-            raise ValueError("probe has zero norm on its support")
-        xsum = xs[:, None] + xs[None, :]
-        k1 = 1.0 / xsum
-        k2 = xsum / (np.square(xs)[:, None] + np.square(xs)[None, :])
-        w1 = ws * v1.conj()
-        w2 = ws * v2.conj()
-        term_diag = np.real((w1[:, None] * (ws * v1)[None, :]
-                             + w2[:, None] * (ws * v2)[None, :]) * k1)
-        term_cross = np.real(w1[:, None] * (ws * v2)[None, :]) * k2
-        ii = float(np.sum(term_diag) - 2.0 * np.sum(term_cross))
-        return 1.0 + (2.0 / math.pi) * ii / (n1 + n2)
-
+    if not (0.0 < lo < hi < math.inf and hi / lo < math.inf):
+        raise ValueError(
+            "support must satisfy 0 < lo < hi < inf with hi/lo finite")
     nodes = 8
-    prev = quotient(nodes)
+    prev = _hilbert_quotient(f1, f2, lo, hi, nodes)
     for _ in range(4):
         nodes *= 2
-        cur = quotient(nodes)
+        cur = _hilbert_quotient(f1, f2, lo, hi, nodes)
         if abs(cur - prev) <= rel_tol * max(abs(cur), 1.0):
             return cur
         prev = cur

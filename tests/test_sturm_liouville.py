@@ -1,8 +1,10 @@
+import json
 import math
 import os
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -819,8 +821,103 @@ class TestLemmaChecker:
             fd = (tf.f(xs + h) - 2 * tf.f(xs) + tf.f(xs - h)) / h**2
             np.testing.assert_allclose(tf.fpp(xs), fd, rtol=1e-4, atol=1e-4)
 
+    def test_narrow_probe_norms_closed_form(self):
+        # norm(f) = (pi/(2 alpha))^(1/4), norm(f'') = alpha sqrt3 norm(f); the
+        # bump sits at the window's edge, so only panels graded toward its
+        # center sample it
+        f = ProbeFunction.gaussian(alpha=1e7, center=5.0)
+        assert f.norm == pytest.approx(0.019908107136556, rel=1e-10)
+        assert f.fpp_norm == pytest.approx(344818.53043040, rel=1e-10)
+        # against a wide gaussian well: int exp(-A (x - c)^2 - B x^2) dx =
+        # sqrt(pi / (A + B)) exp(-A B c^2 / (A + B)), A = 2 alpha, B = 2/w^2
+        a, b = 2e7, 2.0 / 10.0**2
+        expected = ((math.pi / (a + b)) ** 0.25
+                    * math.exp(-a * b * 25.0 / (2.0 * (a + b))))
+        g = Potential(kind="gaussian", depth=1.0, width=10.0)
+        assert f.product_norm(g) == pytest.approx(expected, rel=1e-10)
+
+    def test_zero_probe_norm_raises(self):
+        zero = ProbeFunction(label="zero", f=np.zeros_like, fpp=np.zeros_like,
+                             window=5.0)
+        with pytest.raises(sturm_liouville.QuadratureError, match="norm"):
+            zero.norm
+        with pytest.raises(sturm_liouville.QuadratureError, match="fpp_norm"):
+            zero.fpp_norm
+        # a vanishing left side is a value, not a failure
+        assert zero.product_norm(Potential(kind="step")) == 0.0
+
+    def test_result_serializes_for_every_family(self):
+        f = ProbeFunction.gaussian(alpha=0.7, center=0.3)
+        for g in (Potential(kind="step"), Potential(kind="gaussian"),
+                  Potential(kind="lorentzian"),
+                  Potential(kind="tabulated",
+                            table=([-3.0, -0.5, 2.0], [1.0, -2.0, 0.5]))):
+            for p in (3.0, math.inf):
+                out = lemma_ls_check(f, g, p=p, r=0.5)
+                assert [type(out[k]) for k in ("lhs", "rhs", "holds")] == [
+                    float, float, bool], (g.kind, p)
+                assert json.loads(json.dumps(out)) == out
+
+
+def _dense_quotient(f1, f2, lo, hi, m):
+    """The product Gauss-Legendre rule on the full N x N kernel matrix of
+    the involution form, summed in row blocks to bound its memory."""
+    decades = max(math.log10(hi / lo), 0.1)
+    num_panels = max(4, math.ceil(
+        decades * sturm_liouville.TAU0_PANELS_PER_DECADE))
+    edges = np.geomspace(lo, hi, num_panels + 1)
+    xs, ws = np.polynomial.legendre.leggauss(m)
+    mid, half = 0.5 * (edges[1:] + edges[:-1]), 0.5 * (edges[1:] - edges[:-1])
+    nodes = (mid[:, None] + half[:, None] * xs).ravel()
+    weights = (half[:, None] * ws).ravel()
+    v1 = np.asarray(f1(nodes), dtype=complex)
+    v2 = (np.zeros_like(v1) if f2 is None
+          else np.asarray(f2(nodes), dtype=complex))
+    a, b = weights * v1, weights * v2
+    ii = 0.0
+    for rows in np.array_split(np.arange(len(nodes)), len(nodes) // 512 + 1):
+        x = nodes[rows, None]
+        xsum = x + nodes
+        k1 = 1.0 / xsum
+        k2 = xsum / (x**2 + nodes**2)
+        ii += np.real(a[rows].conj() @ k1 @ a + b[rows].conj() @ k1 @ b
+                      - 2.0 * (a[rows].conj() @ k2 @ b))
+    norm_sq = np.sum(weights * (np.abs(v1) ** 2 + np.abs(v2) ** 2))
+    return 1.0 + (2.0 / math.pi) * ii / norm_sq
+
 
 class TestTau0HilbertForm:
+    def test_lag_blocks_match_dense_rule(self):
+        probes = [extremizer_probe(x) for x in (1e2, 1e6, 1e12)]
+        probes.append(indicator_probe())
+        probes.append((lambda x: x ** -0.5 * np.exp(1j * np.log(x)),
+                       lambda x: (0.5 - 2j) * np.exp(-x) * np.sqrt(x),
+                       (0.05, 40.0)))
+        for f1, f2, (lo, hi) in probes:
+            for m in (8, 16, 32):
+                dense = _dense_quotient(f1, f2, lo, hi, m)
+                blocks = sturm_liouville._hilbert_quotient(f1, f2, lo, hi, m)
+                assert blocks == pytest.approx(dense, rel=1e-13), (hi, m)
+
+    def test_unreachable_tolerance_raises(self):
+        # a jump inside a panel: passes keep differing by O(1/m)
+        jump = lambda x: (x < 1.3).astype(float)
+        with pytest.raises(sturm_liouville.QuadratureError):
+            tau0_hilbert_form(jump, None, (1.0, 2.0), rel_tol=1e-300)
+
+    def test_memory_grows_with_nodes_not_their_square(self):
+        # N = 768 nodes at X = 1e6 (16 a panel); the N x N rule needed about
+        # 38 MB there and would need about 10 GB at X = 1e100
+        for x_max, limit in ((1e6, 4e6), (1e100, 64e6)):
+            f1, f2, support = extremizer_probe(x_max)
+            tracemalloc.start()
+            try:
+                tau0_hilbert_form(f1, f2, support)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < limit, (x_max, peak)
+
     def test_indicator_matches_closed_form(self):
         f1, f2, support = indicator_probe()
         val = tau0_hilbert_form(f1, f2, support)
@@ -852,6 +949,8 @@ class TestTau0HilbertForm:
         f1, f2, _ = indicator_probe()
         with pytest.raises(ValueError):
             tau0_hilbert_form(f1, f2, (0.0, 2.0))
+        with pytest.raises(ValueError):
+            tau0_hilbert_form(f1, f2, (1e-300, 1e300))  # hi/lo overflows
 
     def test_zero_probe_rejected(self):
         with pytest.raises(ValueError):
@@ -883,11 +982,12 @@ class TestLazyImports:
             "          Potential(kind='tabulated',\n"
             "                    table=([-3.0, -0.5, 2.0], [1.0, -2.0, 0.5]))):\n"
             "    assert lemma_ls_check(f, g, p=3.0, r=0.5)['holds']\n"
-            "print('scipy.integrate' in sys.modules)\n")
+            "print('scipy.integrate' in sys.modules)\n"
+            "print('scipy.special' in sys.modules)\n")
         done = subprocess.run([sys.executable, "-c", probe], capture_output=True,
                               text=True, timeout=120, check=True,
                               env=dict(os.environ, PYTHONPATH=src))
-        assert done.stdout.strip() == "False"
+        assert done.stdout.split() == ["False", "False"]
 
 
 class TestQuad:
