@@ -37,7 +37,7 @@ __all__ = [
     "phi",
     "phi_extrema",
     "sup_resolvent_factor_bound",
-    "disk_family_heights",
+    "disk_family_profiles",
     "disk_region_membership",
     "hull_membership",
     "prior_hull_membership",
@@ -185,18 +185,15 @@ class DiskFamilyRegion:
 
     def height(self, x):
         """Height of the region above abscissa x (vectorized), 0 off its real section."""
-        return disk_family_heights([self], np.asarray(x, dtype=float)[None])[0]
+        return _stacked_heights(*_segment_stack([self]),
+                                np.asarray(x, dtype=float)[None])[0]
 
     @property
     def real_extent(self) -> tuple:
-        """Smallest interval [xmin, xmax] containing the region's real section:
-        r(t) = norm((sqrt(rho a), sqrt(rho b) t)) is convex, so both extremes
-        sit at the ends of the center set (an infinite end is its own)."""
-        xmin, xmax = math.inf, -math.inf
-        for t in self.centers.points + sum(self.centers.intervals, ()):
-            r = float(self.radius(t)) if math.isfinite(t) else 0.0
-            xmin, xmax = min(xmin, t - r), max(xmax, t + r)
-        return (xmin, xmax)
+        """Smallest interval [xmin, xmax] containing the region's real section
+        (the one-row case of ``disk_family_profiles``)."""
+        xmin, xmax = _stacked_extents(*_segment_stack([self]))
+        return (float(xmin[0]), float(xmax[0]))
 
 
 @dataclass(frozen=True)
@@ -391,24 +388,53 @@ def _min_g(region: DiskFamilyRegion, x, y=0.0):
     return best
 
 
-def disk_family_heights(regions, x):
-    """Heights of a stack of disk-family regions: row k of the result is
-    region k's height above the abscissae in row k of ``x``, 0 off its real
-    section.  All rows are one broadcast evaluation of ``_segment_min_g``
-    over the regions' intervals and points (padded to a common count by
-    repeating a region's first one, which leaves its minimum unchanged)."""
-    x = np.asarray(x, dtype=float)
-    tail = (1,) * (x.ndim - 1)
+def _segment_stack(regions):
+    """A stack of regions as arrays: the (m, w, 2) ends of each region's
+    intervals and points (a point p is [p, p]), padded to a common count w by
+    repeating a region's first one, and the (m, 3) rows (a, b, rho)."""
     segments = [r.centers.intervals + tuple((p, p) for p in r.centers.points)
                 for r in regions]
     width = max(map(len, segments))
     ends = np.array([s + s[:1] * (width - len(s)) for s in segments])
     params = np.array([(r.bound.a, r.bound.b, r.radius_scale) for r in regions])
+    return ends, params
+
+
+def _stacked_extents(ends, params):
+    """Per region of a ``_segment_stack``, the smallest [xmin, xmax] holding
+    its real section: r(t) = norm((sqrt(rho a), sqrt(rho b) t)) is convex, so
+    the extremes are among t -+ r(t) at the segment ends (an infinite end is
+    its own extreme).  Padding repeats an end and leaves both unchanged."""
+    a, b, rho = (params[:, k, None, None] for k in range(3))
+    finite = np.isfinite(ends)
+    t = np.where(finite, ends, 0.0)
+    r = np.where(finite, np.sqrt(rho * (a + b * np.square(t))), 0.0)
+    return np.min(ends - r, axis=(1, 2)), np.max(ends + r, axis=(1, 2))
+
+
+def _stacked_heights(ends, params, x):
+    """Heights of the regions of a ``_segment_stack``: row k of the result is
+    region k's height above the abscissae in row k of ``x``, 0 off its real
+    section, all rows one broadcast evaluation of ``_segment_min_g`` (the
+    padding leaves each region's minimum unchanged)."""
+    tail = (1,) * (x.ndim - 1)
     lo, hi = (ends[..., k].reshape(ends.shape[:2] + tail) for k in (0, 1))
     a, b, rho = (params[:, k].reshape((-1, 1) + tail) for k in range(3))
     g = _segment_min_g(a, b, rho, lo, hi, x[:, None])
     # 0.0 - g rather than -g: a boundary-exact g = 0 gives +0.0, not -0.0
     return np.sqrt(np.maximum(0.0 - np.min(g, axis=1), 0.0))
+
+
+def disk_family_profiles(regions, nodes):
+    """The real extents of a stack of disk-family regions and their heights
+    over them: ``(xmin, xmax, heights)`` with row k of ``heights`` region k's
+    height at the ``nodes`` of [-1, 1] mapped affinely onto
+    [xmin[k], xmax[k]], from one stacking of the regions' segments."""
+    ends, params = _segment_stack(regions)
+    xmin, xmax = _stacked_extents(ends, params)
+    mid, half = 0.5 * (xmax + xmin), 0.5 * (xmax - xmin)
+    return xmin, xmax, _stacked_heights(ends, params,
+                                        mid[:, None] + half[:, None] * nodes)
 
 
 def disk_region_membership(region: DiskFamilyRegion, lam) -> Membership:

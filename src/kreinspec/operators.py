@@ -129,7 +129,11 @@ def resolvent_factor_norm(t_op, s_op, lam):
     with C = (T U)* (T U); one stacked eigvalsh over an array of lam (a float
     for a scalar lam).  Rejects lam within ``NEAR_SPECTRUM_TOL``
     max(norm(S), 1) of S's spectrum."""
-    tu, d = _factor_operands(t_op, s_op)
+    return _factor_norm(*_factor_operands(t_op, s_op), lam)
+
+
+def _factor_norm(tu, d, lam):
+    """``resolvent_factor_norm`` from S's factored operands T U and d."""
     lam = np.asarray(lam, dtype=complex)
     shifted = d - lam[..., None]
     guard = NEAR_SPECTRUM_TOL * max(np.max(np.abs(d)), 1.0)
@@ -209,7 +213,11 @@ def k_set_membership(t_op, s_op, lam):
     at lam = x + iy, so lam is a member when y^2 <= phi(x), the largest
     eigenvalue of T*T / (1 - K_SET_SLACK)^2 - (S - x)^2, taken in S's
     eigenbasis by one stacked eigvalsh.  phi >= 0 on S's spectrum."""
-    tu, d = _factor_operands(t_op, s_op)
+    return _k_set_member(*_factor_operands(t_op, s_op), lam)
+
+
+def _k_set_member(tu, d, lam):
+    """``k_set_membership`` from S's factored operands T U and d."""
     lam = np.asarray(lam, dtype=complex)
     gram = tu.conj().T @ tu / (1.0 - K_SET_SLACK) ** 2
     shift = np.square(d - lam.real[..., None])[..., None] * np.eye(d.size)

@@ -11,8 +11,10 @@ import hashlib
 import json
 import math
 import os
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -214,11 +216,22 @@ def _json_default(obj):
     raise TypeError(f"{type(obj).__name__} is not JSON serializable")
 
 
-def canonical_json(obj) -> str:
+# The one definition of the report format; ``indent`` makes ``iterencode``
+# the pure-Python encoder, whose chunks ``write_json`` streams to disk.
+_ENCODER = json.JSONEncoder(sort_keys=True, allow_nan=False,
+                            separators=(",", ": "), indent=1,
+                            default=_json_default)
+# write_json joins this many encoder chunks (about 100 kB of a report's
+# objects) per write; _digest reads files in blocks of DIGEST_BLOCK bytes.
+WRITE_BATCH = 1024
+DIGEST_BLOCK = 1 << 16
+
+
+@contextmanager
+def _finite_only():
+    """Re-raise the encoder's out-of-range float error as the report's."""
     try:
-        return json.dumps(obj, sort_keys=True, allow_nan=False,
-                          separators=(",", ": "), indent=1,
-                          default=_json_default) + "\n"
+        yield
     except ValueError as exc:
         if "JSON compliant" not in str(exc):
             raise
@@ -226,14 +239,32 @@ def canonical_json(obj) -> str:
                          f"(upstream bug): {exc}") from None
 
 
+def canonical_json(obj) -> str:
+    with _finite_only():
+        return "".join(_ENCODER.iterencode(obj)) + "\n"
+
+
 def save_config(config: RunConfig) -> str:
     return canonical_json({"command": config.command, **config.params})
 
 
 def write_json(path, obj) -> Path:
+    """Stream ``canonical_json(obj)`` to ``<name>.part`` beside ``path``, then
+    rename it into place: a write that fails (a non-finite float, say)
+    leaves no part file and any earlier file at ``path`` as it was."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_bytes(canonical_json(obj).encode("utf-8"))
+    part = path.with_name(path.name + ".part")
+    chunks = _ENCODER.iterencode(obj)
+    try:
+        with open(part, "wb") as out, _finite_only():
+            while batch := list(islice(chunks, WRITE_BATCH)):
+                out.write("".join(batch).encode("utf-8"))
+            out.write(b"\n")
+        os.replace(part, path)
+    except BaseException:
+        part.unlink(missing_ok=True)
+        raise
     return path
 
 
@@ -261,8 +292,12 @@ def write_csv(path, header, rows) -> Path:
 
 
 def _digest(path: Path) -> dict:
-    data = Path(path).read_bytes()
-    return {"sha256": hashlib.sha256(data).hexdigest(), "bytes": len(data)}
+    sha, size = hashlib.sha256(), 0
+    with open(path, "rb") as data:
+        while block := data.read(DIGEST_BLOCK):
+            sha.update(block)
+            size += len(block)
+    return {"sha256": sha.hexdigest(), "bytes": size}
 
 
 @dataclass
@@ -303,9 +338,7 @@ def finalize_record(record: RunRecord, directory) -> Path:
                "createdAt": record.created_at,
                "inputDigests": record.input_digests,
                "diagnostics": record.diagnostics, "outputs": outputs}
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_bytes(canonical_json(payload).encode("utf-8"))
-    return path
+    return write_json(path, payload)
 
 
 def verify_manifest(record_path) -> None:

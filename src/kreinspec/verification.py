@@ -15,12 +15,11 @@ from typing import NamedTuple
 import numpy as np
 
 from .geometry import DiskFamilyRegion, RelBound, SpectrumModel, \
-    disk_family_heights, disk_region_membership, region_to_json, \
+    disk_family_profiles, disk_region_membership, region_to_json, \
     smallerb_threshold, tmain_regions, tmain_worse
-from .operators import BlockOperator, KreinPerturbationProblem, assemble_block, \
-    block_signature, certify_resolvent_bound, k_set_membership, \
-    min_relative_bound, resolvent_factor_norm, resolvent_norm, \
-    spectral_projections
+from .operators import BlockOperator, KreinPerturbationProblem, _factor_norm, \
+    _k_set_member, assemble_block, block_signature, certify_resolvent_bound, \
+    min_relative_bound, resolvent_norm, spectral_projections
 
 __all__ = [
     "HypothesisUnmetError",
@@ -186,17 +185,16 @@ def region_area(regions):
     """Area of a disk-family region (a float, inf when its centers are
     unbounded), or an array of the areas of a sequence of regions: a 1-D
     Gauss-Legendre quadrature of each closed-form height profile, all rows on
-    one stacked (m, REGION_AREA_NODES) grid by ``disk_family_heights``."""
+    one stacked (m, REGION_AREA_NODES) grid by ``disk_family_profiles``."""
     single = isinstance(regions, DiskFamilyRegion)
     regions = [regions] if single else list(regions)
     areas = np.full(len(regions), math.inf)
     bounded = [k for k, r in enumerate(regions) if r.centers.bounded]
     if bounded:
-        xmin, xmax = np.array([regions[k].real_extent for k in bounded]).T
         xs, ws = _leggauss_cached(REGION_AREA_NODES)
-        mid, half = 0.5 * (xmax + xmin), 0.5 * (xmax - xmin)
-        heights = disk_family_heights([regions[k] for k in bounded],
-                                      mid[:, None] + half[:, None] * xs)
+        xmin, xmax, heights = disk_family_profiles(
+            [regions[k] for k in bounded], xs)
+        half = 0.5 * (xmax - xmin)
         areas[bounded] = 2.0 * half * np.sum(ws * heights, axis=1)
     return float(areas[0]) if single else areas
 
@@ -373,8 +371,8 @@ def verify_block_theorem(block: BlockOperator, lambda_samples: int = 1000,
     """
     rng = np.random.default_rng(seed)
     full = assemble_block(block)
-    d_plus = np.linalg.eigh(block.s_plus)[0]
-    d_minus = np.linalg.eigh(block.s_minus)[0]
+    d_plus, u_plus = np.linalg.eigh(block.s_plus)
+    d_minus, u_minus = np.linalg.eigh(block.s_minus)
     m = block.coupling
 
     curve_minus = fit_relative_bound(m, block.s_minus)
@@ -398,16 +396,18 @@ def verify_block_theorem(block: BlockOperator, lambda_samples: int = 1000,
         bounds={"a_minus": a_minus, "b_minus": b_minus,
                 "a_plus": a_plus, "b_plus": b_plus})
 
-    # K-set membership per side (factor T, block S, spectrum d) and eigenvalue,
-    # real ones at their real part; near d counts as inside
-    sides = ((m, block.s_minus, d_minus), (m.conj().T, block.s_plus, d_plus))
+    # each side's factor T U and spectrum d, for S = U diag(d) U* its block
+    # (T = M on the minus side, M* on the plus side), formed once
+    sides = ((m @ u_minus, d_minus), (m.conj().T @ u_plus, d_plus))
+    # K-set membership per side and eigenvalue, real ones at their real part;
+    # near d counts as inside
     nonreal = spec.types == 0.0
     probes = np.where(nonreal, spec.values, spec.values.real)
     in_k_minus, in_k_plus = (
-        (k_set_membership(t_op, s_op, probes)
+        (_k_set_member(tu, d_side, probes)
          | (np.min(np.abs(d_side - probes[:, None]), axis=1)
             <= SPECTRUM_PROXIMITY_TOL * scale)).tolist()
-        for t_op, s_op, d_side in sides)
+        for tu, d_side in sides)
 
     mem_minus, mem_plus = (disk_region_membership(r, spec.values[nonreal])
                            for r in (region_minus, region_plus))
@@ -434,7 +434,7 @@ def verify_block_theorem(block: BlockOperator, lambda_samples: int = 1000,
 
     # resolvent bound where a factor norm nu < 1
     lams = _resolvent_samples(rng, lambda_samples, scale)
-    nu = np.stack([resolvent_factor_norm(t, s, lams) for t, s, _ in sides], axis=1)
+    nu = np.stack([_factor_norm(tu, d, lams) for tu, d in sides], axis=1)
     applicable = nu < 1.0 - APPLICABILITY_MARGIN
     with np.errstate(divide="ignore"):
         cap = (1.0 + nu + nu * nu) / (np.abs(lams.imag)[:, None] * (1.0 - nu * nu))
@@ -476,9 +476,6 @@ def verify_tmain(problem: KreinPerturbationProblem,
     tau = tau0 if tau is None else max(float(tau), tau0)
     v_low = problem.jv_lower_bound
 
-    w_op = math.sqrt((1.0 + tau) * tau) * problem.v
-    curve = [(b, 0.5 * a) for b, a in fit_relative_bound(w_op, problem.a0)]
-
     report = VerificationReport(
         instance={"dims": [problem.dim],
                   "norms": {"a0": float(np.linalg.norm(problem.a0, 2)),
@@ -503,6 +500,8 @@ def verify_tmain(problem: KreinPerturbationProblem,
         report.summarize_sign_checks()
         return report
 
+    w_op = math.sqrt((1.0 + tau) * tau) * problem.v
+    curve = [(b, 0.5 * a) for b, a in fit_relative_bound(w_op, problem.a0)]
     # the pair whose plain region has least area; argmin keeps the first
     b_sel, a_sel = curve[int(np.argmin(region_area(
         [tmain_worse(a, b, tau, v_low)[1] for b, a in curve])))]

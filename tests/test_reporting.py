@@ -1,5 +1,7 @@
 import json
 import math
+import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,6 +22,7 @@ from kreinspec.reporting import (
     write_json,
     write_report,
 )
+from kreinspec.reporting import _json_default
 
 
 class TestConfig:
@@ -115,6 +118,73 @@ class TestDeterministicSerialization:
     def test_csv_rejects_nan(self, tmp_path):
         with pytest.raises(ValueError):
             write_csv(tmp_path / "t.csv", ["x"], [(math.inf,)])
+
+
+class TestStreamedJson:
+    """write_json streams the encoder's chunks to <name>.part and renames
+    it: the same bytes as canonical_json, and nothing left on failure."""
+
+    FIXTURE = {
+        "empty": {"list": [], "dict": {}},
+        "nested": {"b": [[], {}, [1, [2.5, {"z": None, "a": False}]]],
+                   "a": {"x": {"y": {}}}},
+        "text": 'quote " backslash \\ newline \n tab \t \x01 \u00e9 \u2028 \U0001d49c',
+        "negzero": -0.0,
+        "numpy": {"f64": np.float64(0.1), "f32": np.float32(1.5),
+                  "i64": np.int64(-3), "bool": np.bool_(True),
+                  "vector": np.arange(3.0), "matrix": np.eye(2),
+                  "empty": np.zeros((0, 2))},
+    }
+
+    def test_bytes_match_canonical_json(self, tmp_path):
+        path = write_json(tmp_path / "r.json", self.FIXTURE)
+        text = canonical_json(self.FIXTURE)
+        assert path.read_bytes() == text.encode()
+        # the format of json.dumps with the report settings, one newline added
+        assert text == json.dumps(self.FIXTURE, sort_keys=True, allow_nan=False,
+                                  separators=(",", ": "), indent=1,
+                                  default=_json_default) + "\n"
+        assert sorted(os.listdir(tmp_path)) == ["r.json"]
+
+    @pytest.mark.parametrize("existing", [False, True])
+    def test_refused_report_leaves_no_file(self, tmp_path, existing):
+        # the NaN comes after more than a write buffer of text
+        bad = {"a": list(range(20000)), "z": {"margin": math.nan}}
+        target = tmp_path / "report.json"
+        if existing:
+            write_json(target, {"ok": True})
+            before = target.read_bytes()
+        with pytest.raises(ValueError, match="non-finite"):
+            write_json(target, bad)
+        assert sorted(os.listdir(tmp_path)) == (["report.json"] if existing else [])
+        if existing:
+            assert target.read_bytes() == before
+
+    def test_symlink_replaced_not_written_through(self, tmp_path):
+        aside = write_json(tmp_path / "aside.json", {"keep": 1})
+        link = tmp_path / "report.json"
+        link.symlink_to(aside)
+        write_json(link, {"new": 2})
+        assert not link.is_symlink()
+        assert json.loads(link.read_text()) == {"new": 2}
+        assert json.loads(aside.read_text()) == {"keep": 1}
+
+    def test_memory_independent_of_report_size(self, tmp_path):
+        rng = np.random.default_rng(0)
+        report = {"trials": [{"seed": k, "values": rng.standard_normal(30).tolist(),
+                              "verified": True} for k in range(1700)]}
+        size = len(canonical_json(report))
+        assert 1.2e6 < size < 1.6e6
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            record = RunRecord(config={"command": "perturb"})
+            write_report(record, report, tmp_path / "report.json")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - base < 0.5e6
+        assert record.outputs[0][1]["bytes"] == size
 
 
 class TestRunRecord:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from kreinspec.geometry import RelBound, SpectrumModel, DiskFamilyRegion, \
-    disk_region_membership, tmain_worse
+    disk_family_profiles, disk_region_membership, tmain_worse
 from kreinspec import operators, verification
 from kreinspec.operators import BlockOperator, KreinPerturbationProblem, \
     assemble_block, block_signature, k_set_membership, min_relative_bound, \
@@ -121,6 +121,38 @@ class TestStackedRegionArea:
                                       self.bits([region_area(r) for r in regions]))
         assert areas[3] == pytest.approx(4.0 * math.pi, rel=1e-6)
         assert region_area([]).shape == (0,)
+
+    @staticmethod
+    def scanned_extent(region):
+        """The real extent as a scan of t -+ r(t) over the center set's ends,
+        one end at a time."""
+        xmin, xmax = math.inf, -math.inf
+        for t in region.centers.points + sum(region.centers.intervals, ()):
+            r = float(region.radius(t)) if math.isfinite(t) else 0.0
+            xmin, xmax = min(xmin, t - r), max(xmax, t + r)
+        return xmin, xmax
+
+    def test_stacked_extents_match_real_extent(self):
+        bound = RelBound(2.0, 0.3)
+        regions = [
+            DiskFamilyRegion(bound, SpectrumModel.from_points([0.5, -3.0, 9.0]),
+                             radius_scale=5.0),
+            DiskFamilyRegion(bound, SpectrumModel.interval(-1.0, 2.0)),
+            DiskFamilyRegion(RelBound(0.7, 0.0), SpectrumModel(
+                intervals=((-6.0, -2.5), (1.0, 2.0)), points=(-8.0, 0.25, 5.0))),
+            tmain_worse(0.0, 0.4, 3.0, -0.5)[1],  # gamma = 0: the point 0
+            tmain_worse(1e-6, 0.2, 2.0, -1e-3)[1],
+        ]
+        assert regions[3].centers.points == (0.0,)
+        xmin, xmax, heights = disk_family_profiles(regions, np.linspace(-1, 1, 5))
+        assert heights.shape == (len(regions), 5)
+        single = [r.real_extent for r in regions]
+        assert single[3] == (0.0, 0.0)
+        for reference in (single, [self.scanned_extent(r) for r in regions]):
+            np.testing.assert_array_equal(self.bits(xmin),
+                                          self.bits([e[0] for e in reference]))
+            np.testing.assert_array_equal(self.bits(xmax),
+                                          self.bits([e[1] for e in reference]))
 
 
 class TestVerifyBlockTheorem:
@@ -246,6 +278,25 @@ class TestVerifyTmain:
         assert report.checks["branch"] == "jv-nonnegative"
         assert report.verified
         assert report.nonreal_count == 0
+
+    def test_jv_nonnegative_branch_fits_no_bound(self, monkeypatch):
+        calls = []
+
+        def counted(t_op, s_op, b):
+            calls.append(len(b))
+            return min_relative_bound(t_op, s_op, b)
+
+        monkeypatch.setattr(verification, "min_relative_bound", counted)
+        sig = np.array([1.0, -1.0, 1.0, -1.0])
+        a0 = np.diag(sig * np.array([2.0, 1.0, 3.0, 0.5]))
+        report = verify_tmain(KreinPerturbationProblem(
+            signature=sig, a0=a0, v=0.3 * np.diag(sig)))
+        assert report.checks["branch"] == "jv-nonnegative"
+        assert calls == []
+        report = verify_tmain(KreinPerturbationProblem(
+            signature=sig, a0=a0, v=-0.3 * np.diag(sig)))
+        assert report.checks["branch"] == "enclosure"
+        assert calls == [100]
 
     def test_positive_multiple_of_j_keeps_spectrum_real(self):
         for seed in trial_seeds(3, 30):
