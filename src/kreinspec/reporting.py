@@ -248,19 +248,17 @@ def save_config(config: RunConfig) -> str:
     return canonical_json({"command": config.command, **config.params})
 
 
-def write_json(path, obj) -> Path:
-    """Stream ``canonical_json(obj)`` to ``<name>.part`` beside ``path``, then
-    rename it into place: a write that fails (a non-finite float, say)
-    leaves no part file and any earlier file at ``path`` as it was."""
+def _replace(path, write) -> Path:
+    """Call ``write`` on ``<name>.part`` beside ``path``, opened for binary
+    writing, then rename it into place: a write that fails leaves no part
+    file and any earlier file at ``path`` as it was, and a symlink at
+    ``path`` is replaced, not written through."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     part = path.with_name(path.name + ".part")
-    chunks = _ENCODER.iterencode(obj)
     try:
-        with open(part, "wb") as out, _finite_only():
-            while batch := list(islice(chunks, WRITE_BATCH)):
-                out.write("".join(batch).encode("utf-8"))
-            out.write(b"\n")
+        with open(part, "wb") as out:
+            write(out)
         os.replace(part, path)
     except BaseException:
         part.unlink(missing_ok=True)
@@ -268,10 +266,23 @@ def write_json(path, obj) -> Path:
     return path
 
 
+def write_json(path, obj) -> Path:
+    """Stream ``canonical_json(obj)`` to ``path`` through ``_replace``: a
+    non-finite float leaves no file behind."""
+    chunks = _ENCODER.iterencode(obj)
+
+    def write(out):
+        with _finite_only():
+            while batch := list(islice(chunks, WRITE_BATCH)):
+                out.write("".join(batch).encode("utf-8"))
+        out.write(b"\n")
+
+    return _replace(path, write)
+
+
 def write_csv(path, header, rows) -> Path:
-    """CSV with repr-formatted floats, '.' decimal separator and LF endings."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
+    """CSV with repr-formatted floats, '.' decimal separator and LF endings,
+    written through ``_replace``."""
     lines = [",".join(header)]
     for row in rows:
         cells = []
@@ -287,8 +298,8 @@ def write_csv(path, header, rows) -> Path:
             else:
                 cells.append(str(cell))
         lines.append(",".join(cells))
-    path.write_bytes(("\n".join(lines) + "\n").encode("utf-8"))
-    return path
+    data = ("\n".join(lines) + "\n").encode("utf-8")
+    return _replace(path, lambda out: out.write(data))
 
 
 def _digest(path: Path) -> dict:

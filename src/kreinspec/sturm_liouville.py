@@ -44,7 +44,6 @@ __all__ = [
     "extremizer_probe",
     "TAU0_UPPER_BOUND",
     "TAU0_UPPER_TOL",
-    "SL_PAIRING_TOL",
     "LEMMA_SLACK",
     "LEMMA_QUAD_TOL",
     "SL_RESIDUAL_TOL",
@@ -119,9 +118,6 @@ TAU0_UPPER_BOUND = 3.0 + 2.0 * SQRT2
 TAU0_UPPER_TOL = 1e-4
 
 # Decision tolerances of the pipeline (README, "Scope notes").
-# A non-real eigenvalue's conjugate partner must lie within
-# SL_PAIRING_TOL (1 + |lam|) of its conjugate.
-SL_PAIRING_TOL = 1e-6
 # The multiplier inequality holds when lhs <= rhs (1 + LEMMA_SLACK).
 LEMMA_SLACK = 1e-6
 # A quadrature of the multiplier check (the probe norms and the left side)
@@ -540,11 +536,10 @@ class SLSpectrum:
     """The eigenvalues of A of non-positive T-type and the path that found
     them: the ``nonreal_pairs`` (P) non-real ones with Im > 0, sorted, then
     the W real ones of negative T-type, ascending, with inertia ``jumps``.
-    ``kappa`` is the number of negative eigenvalues of T.  The all-n paths
-    ("parity", "dense") add the (lam, jump) of each real eigenvalue whose
-    jump is not +-1 (``undecided``) and the ``pairing_defect``; the
-    certified solve adds its ``iterations`` and largest backward
-    ``residual``, and a dense fallback its ``reason``.
+    ``kappa`` is the number of negative eigenvalues of T, and kappa = P + W
+    on every path (``_closed_spectrum``).  The certified solve adds its
+    ``iterations`` and largest backward ``residual``, and a dense fallback
+    its ``reason``.
     """
 
     path: str
@@ -552,8 +547,6 @@ class SLSpectrum:
     kappa: int
     nonreal_pairs: int
     jumps: tuple = ()
-    undecided: tuple = ()
-    pairing_defect: float | None = None
     iterations: int = 0
     residual: float | None = None
     reason: str | None = None
@@ -564,32 +557,50 @@ class SLSpectrum:
                 "nonrealPairs": self.nonreal_pairs,
                 "negativeTypeReal": len(self.jumps),
                 "iterations": self.iterations, "maxResidual": self.residual,
-                "fallbackReason": self.reason, "pairingDefect": self.pairing_defect}
+                "fallbackReason": self.reason}
+
+
+def _closed_spectrum(path: str, kappa: int, singular: bool, upper, real,
+                     jumps, **solve) -> SLSpectrum:
+    """The ``SLSpectrum`` of the candidates, certified by the count
+    kappa = P + W; the one closing rule of every path.
+
+    ``kappa`` and ``singular`` are T's Sturm count at 0 and its flag,
+    ``upper`` the non-real candidates with Im > 0 (P of them), ``real`` the
+    real ones, ascending, with their inertia ``jumps``; W counts the reals
+    whose jump is -sgn(lam), those of negative T-type.  Every counted
+    candidate is a distinct eigenvalue of non-positive type, so
+    P + W <= kappa, and equality means every other real candidate has
+    positive type, whatever its jump.  A count that does not close, or a
+    singular T, raises ``ArithmeticError`` naming P, W and kappa.
+    """
+    negative = jumps * np.sign(real) == -1
+    pairs, w = int(upper.size), int(np.sum(negative))
+    if singular or pairs + w != kappa:
+        why = ("T is singular: a pivot of its Sturm count at 0 fell below "
+               "pivmin" if singular else "count does not close")
+        raise ArithmeticError(f"{why} on the {path} path: P + W = {pairs} + "
+                              f"{w}, kappa = {kappa}")
+    return SLSpectrum(path, np.concatenate((np.sort_complex(upper),
+                                            real[negative])),
+                      kappa=kappa, nonreal_pairs=pairs,
+                      jumps=tuple(int(j) for j in jumps[negative]), **solve)
 
 
 def _from_all_eigenvalues(disc: SLDiscretization, path: str, evals,
-                          kappa: int, tol: float, **solve) -> SLSpectrum:
+                          tol: float, **solve) -> SLSpectrum:
     """The ``SLSpectrum`` of all n eigenvalues of A.  One within
-    ``tol (1 + |z|)`` of the real axis counts as real.  The non-real ones
-    must pair up under conjugation (a ``_pairing_defect`` above
-    ``SL_PAIRING_TOL`` raises ``ArithmeticError``); a real one is of
-    negative T-type when its ``sl_sign_types`` jump is -sgn(lam)."""
+    ``tol (1 + |z|)`` of the real axis counts as real and gets its
+    ``sl_sign_types`` inertia jump; ``_closed_spectrum`` keeps the non-real
+    ones with Im > 0 and the reals of negative T-type, and raises
+    ``ArithmeticError`` when their count does not close."""
     evals = np.asarray(evals, dtype=complex)
     is_real = np.abs(evals.imag) <= tol * (1.0 + np.abs(evals))
     nonreal, real = evals[~is_real], np.sort(evals[is_real].real)
-    defect, worst = _pairing_defect(nonreal.tolist())
-    if defect > SL_PAIRING_TOL:
-        raise ArithmeticError(f"non-real eigenvalue {worst} has no "
-                              f"conjugate partner within SL_PAIRING_TOL")
-    jumps = sl_sign_types(disc, real)
-    negative = jumps * np.sign(real) == -1
-    pairs = np.sort_complex(nonreal[nonreal.imag > 0])
-    return SLSpectrum(path, np.concatenate((pairs, real[negative])),
-                      kappa=kappa, nonreal_pairs=int(pairs.size),
-                      jumps=tuple(jumps[negative].tolist()),
-                      undecided=tuple((float(lam), int(j)) for lam, j
-                                      in zip(real, jumps) if abs(j) != 1),
-                      pairing_defect=defect, **solve)
+    (kappa,), (singular,) = _sturm_counts(disc, [0.0])
+    return _closed_spectrum(path, int(kappa), bool(singular),
+                            nonreal[nonreal.imag > 0], real,
+                            sl_sign_types(disc, real), **solve)
 
 
 def _tridiagonal_matmul(main, off, x) -> np.ndarray:
@@ -629,7 +640,7 @@ def _orthonormal_extension(basis, new) -> np.ndarray:
 def sl_certified_spectrum(disc: SLDiscretization, tol: float = 1e-8) -> SLSpectrum:
     """The kappa eigenvalues of non-positive T-type, certified by the count
     kappa = P + W, in O(n) memory; reduced from a dense eig when it does not
-    close.
+    close, and refused (``ArithmeticError``) for a singular T.
 
     A = S T is self-adjoint in the indefinite form [f, g] = (T f, g), which
     has kappa negative squares, kappa the number of negative eigenvalues of
@@ -647,10 +658,11 @@ def sl_certified_spectrum(disc: SLDiscretization, tol: float = 1e-8) -> SLSpectr
     and imaginary parts of one shifted solve (T - theta S)^-1 S x to Q.
     The result is certified when every target has converged, the targets
     are distinct, none of the non-real ones lies within ``tol (1 + |lam|)``
-    of the real axis (the report would call it real), and the inertia jump
-    across each real target's bracket (``SL_BRACKET_WIDTH``) confirms its
-    negative T-type.  Otherwise ``_from_all_eigenvalues`` reduces the dense
-    eigenvalues, and the result carries the reason.
+    of the real axis (the report would call it real), and the count closes
+    (``_closed_spectrum``), W taken from the inertia jump across each real
+    target's bracket (``SL_BRACKET_WIDTH``).  Otherwise
+    ``_from_all_eigenvalues`` reduces the dense eigenvalues by the same
+    rule, and the result carries the reason.
     """
     from scipy.linalg import eig, eigh_tridiagonal  # imported on first use
 
@@ -663,15 +675,12 @@ def sl_certified_spectrum(disc: SLDiscretization, tol: float = 1e-8) -> SLSpectr
 
     def fallback(reason):
         return _from_all_eigenvalues(
-            disc, "dense", sl_eigenvalues(disc, force_dense=True), kappa, tol,
+            disc, "dense", sl_eigenvalues(disc, force_dense=True), tol,
             iterations=iterations, residual=residual, reason=reason)
 
-    if singular:
-        return fallback("T is singular: a pivot of its Sturm count at 0 "
-                        "fell below pivmin")
-    if kappa == 0:
-        return SLSpectrum("certified", np.zeros(0, dtype=complex), kappa=0,
-                          nonreal_pairs=0)
+    if singular or kappa == 0:  # nothing to solve for, or no solve at 0
+        none = np.zeros(0)
+        return _closed_spectrum("certified", kappa, singular, none, none, none)
     t_norm = float(np.max(np.abs(t_main) + np.abs(np.append(t_off, 0.0))
                           + np.abs(np.insert(t_off, 0, 0.0))))
     _, vecs = eigh_tridiagonal(t_main, t_off, select="i",
@@ -707,9 +716,6 @@ def sl_certified_spectrum(disc: SLDiscretization, tol: float = 1e-8) -> SLSpectr
             basis, np.column_stack([part for z in steps
                                     for part in (z.real, z.imag)]))
 
-    if theta.size != kappa:
-        return fallback(f"count does not close: P + W = {theta.size}, "
-                        f"kappa = {kappa}")
     radius = (SL_BRACKET_WIDTH * t_norm * x_norm**2
               / np.abs(np.einsum("ij,ij->j", x, sx)))
     gaps = np.abs(theta[:, None] - theta) - (radius[:, None] + radius)
@@ -726,32 +732,12 @@ def sl_certified_spectrum(disc: SLDiscretization, tol: float = 1e-8) -> SLSpectr
     lam, width = lam[order], width[order]
     counts, _ = _sturm_counts(disc, np.column_stack(
         (lam - width, lam + width)).ravel())
-    jumps = counts[1::2] - counts[::2]
-    wrong = jumps != -np.sign(lam)
-    if np.any(wrong):
-        return fallback(f"inertia jump {jumps[wrong][0]} across the bracket "
-                        f"of {lam[wrong][0]}, not negative T-type")
-    pairs = np.sort_complex(theta[nonreal])
-    return SLSpectrum("certified", np.concatenate((pairs, lam)), kappa=kappa,
-                      nonreal_pairs=int(pairs.size),
-                      jumps=tuple(int(j) for j in jumps),
-                      iterations=iterations, residual=residual)
-
-
-def _pairing_defect(nonreal) -> tuple:
-    """The largest |w - conj(z)| / (1 + |z|) over the non-real eigenvalues z
-    and the partners w greedy nearest matching gives them (inf for one left
-    without a partner), and the z where it occurs."""
-    unmatched, worst = list(nonreal), (0.0, None)
-    while unmatched:
-        z = unmatched.pop()
-        w = min(unmatched, key=lambda w: abs(w - z.conjugate()), default=None)
-        if w is None:
-            return math.inf, z
-        unmatched.remove(w)
-        worst = max(worst, (abs(w - z.conjugate()) / (1.0 + abs(z)), z),
-                    key=lambda pair: pair[0])
-    return worst
+    try:
+        return _closed_spectrum("certified", kappa, singular, theta[nonreal],
+                                lam, counts[1::2] - counts[::2],
+                                iterations=iterations, residual=residual)
+    except ArithmeticError as exc:
+        return fallback(str(exc))
 
 
 def containment_slack(disc: SLDiscretization, scale: float,
@@ -771,14 +757,15 @@ def containment_report(disc: SLDiscretization, p: float,
     real eigenvalues beyond the box.
 
     The eigenvalues of non-positive type come from the parity reduction for
-    an even potential, from ``sl_certified_spectrum`` otherwise.  Every real
-    eigenvalue but the W of negative T-type has sign type sgn(lam), so the
-    sign claim beyond the box holds exactly when each of the W lies within
-    |lam| <= reHalfWidth + slack; an undecided one beyond it is
-    indeterminate.  ``eigenvalues`` lists the non-positive type (a non-real
-    one for its conjugate pair), ``checks.spectrum`` the counts, the table
-    both members of each pair; the solver's diagnostics are left in
-    ``report.diagnostics`` for the run record.
+    an even potential, from ``sl_certified_spectrum`` otherwise; on either
+    path the count kappa = P + W must close, or ``ArithmeticError`` is
+    raised.  Every real eigenvalue but the W of negative T-type then has
+    sign type sgn(lam), so the sign claim beyond the box holds exactly when
+    each of the W lies within |lam| <= reHalfWidth + slack.  ``eigenvalues``
+    lists the non-positive type (a non-real one for its conjugate pair),
+    ``checks.spectrum`` the counts, the table both members of each pair;
+    the solver's diagnostics are left in ``report.diagnostics`` for the run
+    record.
     """
     q_norm = lp_norm(disc.potential, p)
     box = sl_box(p, q_norm)
@@ -786,9 +773,8 @@ def containment_report(disc: SLDiscretization, p: float,
     slack = containment_slack(disc, max(1.0, box.re_half_width),
                               c=slack_c, kappa=slack_kappa)
     if disc.parity_symmetric:
-        (kappa,), _ = _sturm_counts(disc, [0.0])
         spectrum = _from_all_eigenvalues(disc, "parity", sl_eigenvalues(disc),
-                                         int(kappa), tol)
+                                         tol)
     else:
         spectrum = sl_certified_spectrum(disc, tol)
     kind = disc.potential.kind
@@ -816,9 +802,6 @@ def containment_report(disc: SLDiscretization, p: float,
         lam, sign = z.real, float(jump)
         report.check_sign(lam, sign, lam > 0 if abs(lam) > reach else sign > 0)
         report.add_real(lam, sign)
-    for lam, jump in spectrum.undecided:
-        if abs(lam) > reach:
-            report.add_indeterminate(lam, f"net inertia jump {jump}")
     report.checks["spectrum"] = {
         "path": spectrum.path, "kappa": spectrum.kappa,
         "nonrealPairs": pairs, "negativeTypeReal": len(spectrum.jumps),

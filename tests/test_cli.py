@@ -455,21 +455,31 @@ class TestSlCommand:
         verify_manifest(tmp_path / "run_record.json")
 
     def test_fallback_run_records_its_reason(self, tmp_path, monkeypatch):
-        counts = sturm_liouville._sturm_counts
-        monkeypatch.setattr(sturm_liouville, "_sturm_counts",
-                            lambda d, pts: (counts(d, pts)[0] + 1,
-                                            counts(d, pts)[1]))
+        monkeypatch.setattr(sturm_liouville, "SL_MAX_ITERATIONS", 1)
         assert self._tabulated_run(tmp_path, n=400) == 0
         diag = json.loads((tmp_path / "run_record.json").read_text())[
             "diagnostics"]
         assert diag["path"] == "dense"
-        assert diag["kappa"] == 3
-        assert diag["fallbackReason"].startswith("count does not close")
+        assert diag["kappa"] == 2
+        assert diag["fallbackReason"].startswith("not converged after 1")
         report = json.loads((tmp_path / "sl.json").read_text())
         assert report["checks"]["spectrum"] == {
-            "path": "dense", "kappa": 3, "nonrealPairs": 1,
+            "path": "dense", "kappa": 2, "nonrealPairs": 1,
             "negativeTypeReal": 1, "real": 398}
         assert len(report["eigenvalues"]) == 2
+
+    def test_count_that_does_not_close_exit_four(self, tmp_path, monkeypatch,
+                                                 capsys):
+        # claiming one negative eigenvalue of T too many: neither the
+        # certified path nor its dense fallback can close kappa = P + W
+        counts = sturm_liouville._sturm_counts
+        monkeypatch.setattr(sturm_liouville, "_sturm_counts",
+                            lambda d, pts: (counts(d, pts)[0] + 1,
+                                            counts(d, pts)[1]))
+        assert self._tabulated_run(tmp_path, n=400) == 4
+        assert ("numerical failure: count does not close on the dense path: "
+                "P + W = 1 + 1, kappa = 3") in capsys.readouterr().err
+        assert not (tmp_path / "sl.json").exists()
 
     def test_dense_memory_guard_exit_two(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setattr(sturm_liouville, "DENSE_EIG_MAX_BYTES", 10**6)

@@ -122,7 +122,17 @@ class TestDeterministicSerialization:
 
 class TestStreamedJson:
     """write_json streams the encoder's chunks to <name>.part and renames
-    it: the same bytes as canonical_json, and nothing left on failure."""
+    it: the same bytes as canonical_json, and nothing left on failure.
+    write_csv shares the part file and the rename."""
+
+    # each writer as (file name, write(path, values)), values a list of floats
+    WRITERS = [
+        ("report.json",
+         lambda path, values: write_json(path, {"values": values})),
+        ("report.csv",
+         lambda path, values: write_csv(path, ["value"],
+                                        [(v,) for v in values])),
+    ]
 
     FIXTURE = {
         "empty": {"list": [], "dict": {}},
@@ -149,25 +159,29 @@ class TestStreamedJson:
     @pytest.mark.parametrize("existing", [False, True])
     def test_refused_report_leaves_no_file(self, tmp_path, existing):
         # the NaN comes after more than a write buffer of text
-        bad = {"a": list(range(20000)), "z": {"margin": math.nan}}
-        target = tmp_path / "report.json"
-        if existing:
-            write_json(target, {"ok": True})
-            before = target.read_bytes()
-        with pytest.raises(ValueError, match="non-finite"):
-            write_json(target, bad)
-        assert sorted(os.listdir(tmp_path)) == (["report.json"] if existing else [])
-        if existing:
-            assert target.read_bytes() == before
+        bad = [float(k) for k in range(20000)] + [math.nan]
+        for name, write in self.WRITERS:
+            target = tmp_path / name
+            if existing:
+                write(target, [1.0])
+                before = target.read_bytes()
+            with pytest.raises(ValueError, match="non-finite"):
+                write(target, bad)
+            assert os.listdir(tmp_path) == ([name] if existing else [])
+            if existing:
+                assert target.read_bytes() == before
+                target.unlink()
 
     def test_symlink_replaced_not_written_through(self, tmp_path):
-        aside = write_json(tmp_path / "aside.json", {"keep": 1})
-        link = tmp_path / "report.json"
-        link.symlink_to(aside)
-        write_json(link, {"new": 2})
-        assert not link.is_symlink()
-        assert json.loads(link.read_text()) == {"new": 2}
-        assert json.loads(aside.read_text()) == {"keep": 1}
+        for name, write in self.WRITERS:
+            aside = write(tmp_path / ("aside-" + name), [1.0])
+            kept = aside.read_bytes()
+            link = tmp_path / name
+            link.symlink_to(aside)
+            write(link, [2.0])
+            assert not link.is_symlink()
+            assert link.read_bytes() == write(tmp_path / "fresh", [2.0]).read_bytes()
+            assert aside.read_bytes() == kept
 
     def test_memory_independent_of_report_size(self, tmp_path):
         rng = np.random.default_rng(0)

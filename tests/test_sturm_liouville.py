@@ -243,12 +243,18 @@ def _nonreal(report):
                   key=lambda z: (z.real, z.imag))
 
 
+def _count_closes(report):
+    spectrum = report.checks["spectrum"]
+    return spectrum["kappa"] == (spectrum["nonrealPairs"]
+                                 + spectrum["negativeTypeReal"])
+
+
 class TestNonrealSpectrum:
     def test_zero_potential_empty(self):
         disc = discretize(Potential(kind="step", depth=0.0), L=5.0, n=64)
         report = containment_report(disc, 2.0)
         assert _nonreal(report) == []
-        assert report.diagnostics["pairingDefect"] == 0.0
+        assert _count_closes(report)
 
     def test_deep_well_produces_conjugate_pairs(self):
         disc = discretize(Potential(kind="step", depth=5.0), L=12.0, n=400)
@@ -258,34 +264,20 @@ class TestNonrealSpectrum:
         assert len(nr) % 2 == 0
         for z in nr:
             assert any(abs(w - z.conjugate()) < 1e-8 * (1 + abs(z)) for w in nr)
-        assert report.diagnostics["pairingDefect"] <= 1e-8
-
-    def test_pairing_defect_above_tolerance_raises(self, monkeypatch):
-        # moving one member of a conjugate pair breaks the symmetry the
-        # operator guarantees: containment_report raises, as the CLI's
-        # numerical failure (exit 4)
-        disc = discretize(Potential(kind="step", depth=5.0), L=12.0, n=400)
-        evals = sl_eigenvalues(disc)
-        k = int(np.argmax(evals.imag))
-        moved = evals.copy()
-        moved[k] += 1e-3
-        defect = 1e-3 / (1.0 + abs(evals[k]))
-        monkeypatch.setattr(sturm_liouville, "sl_eigenvalues",
-                            lambda d, force_dense=False: moved)
-        monkeypatch.setattr(sturm_liouville, "SL_PAIRING_TOL", 2.0 * defect)
-        assert containment_report(disc, 2.0).diagnostics[
-            "pairingDefect"] == pytest.approx(defect, rel=1e-3)
-        monkeypatch.setattr(sturm_liouville, "SL_PAIRING_TOL", 0.5 * defect)
-        with pytest.raises(ArithmeticError, match="no conjugate partner"):
-            containment_report(disc, 2.0)
+        assert _count_closes(report)
 
     def test_unpaired_eigenvalue_raises(self, monkeypatch):
+        # dropping a member with Im > 0 leaves P + W one short of kappa:
+        # containment_report raises, as the CLI's numerical failure (exit 4)
         disc = discretize(Potential(kind="step", depth=5.0), L=12.0, n=400)
         evals = sl_eigenvalues(disc)
         lone = np.delete(evals, int(np.argmax(evals.imag)))
+        kappa = containment_report(disc, 2.0).checks["spectrum"]["kappa"]
         monkeypatch.setattr(sturm_liouville, "sl_eigenvalues",
                             lambda d, force_dense=False: lone)
-        with pytest.raises(ArithmeticError, match="no conjugate partner"):
+        with pytest.raises(ArithmeticError,
+                           match=rf"count does not close on the parity path: "
+                                 rf"P \+ W = {kappa - 1} \+ 0, kappa = {kappa}"):
             containment_report(disc, 2.0)
 
     def test_tabulated_run_is_deterministic(self, tmp_path):
@@ -423,28 +415,36 @@ class TestCertifiedSpectrum:
 
     def test_count_that_does_not_close_falls_back(self, monkeypatch):
         # claiming one negative eigenvalue of T too many: the Ritz problem
-        # still finds kappa - 1 targets, so the count cannot close, and the
-        # dense eigenvalues are reduced to those of non-positive type
+        # still finds only the true kappa targets, so the count cannot close; the
+        # dense fallback finds the same P and W and refuses them too
         disc = discretize(_off_centre_well(0.6, 10.0), L=15.0, n=400)
-        kappa, upper, neg_real, neg_jumps = _dense_oracle(disc)
+        kappa, upper, neg_real, _ = _dense_oracle(disc)
         counts = sturm_liouville._sturm_counts
         monkeypatch.setattr(sturm_liouville, "_sturm_counts",
                             lambda d, pts: (counts(d, pts)[0] + 1,
                                             counts(d, pts)[1]))
-        spec = sl_certified_spectrum(disc)
-        assert spec.path == "dense"
-        assert spec.reason.startswith("count does not close")
-        assert (spec.kappa, spec.nonreal_pairs) == (kappa + 1, upper.size)
-        np.testing.assert_array_equal(spec.eigenvalues,
-                                      np.concatenate((upper, neg_real)))
-        np.testing.assert_array_equal(spec.jumps, neg_jumps)
-        rep = containment_report(disc, 2.0)
-        assert rep.checks["spectrum"] == {
-            "path": "dense", "kappa": kappa + 1, "nonrealPairs": upper.size,
-            "negativeTypeReal": neg_real.size, "real": 400 - 2 * upper.size}
-        assert rep.diagnostics["path"] == "dense"
-        assert rep.diagnostics["fallbackReason"] == spec.reason
-        assert rep.verified
+        with pytest.raises(ArithmeticError,
+                           match=rf"count does not close on the dense path: "
+                                 rf"P \+ W = {upper.size} \+ {neg_real.size}, "
+                                 rf"kappa = {kappa + 1}"):
+            sl_certified_spectrum(disc)
+
+    def test_singular_t_is_refused(self, monkeypatch):
+        # a pivot of the count at 0 below pivmin: kappa cannot certify the
+        # split, so the certified path raises without a dense fallback, and
+        # the parity path raises too
+        counts = sturm_liouville._sturm_counts
+        monkeypatch.setattr(sturm_liouville, "_sturm_counts",
+                            lambda d, pts: (counts(d, pts)[0],
+                                            np.ones(len(pts), dtype=bool)))
+        disc = discretize(_off_centre_well(0.6, 10.0), L=15.0, n=400)
+        with pytest.raises(ArithmeticError,
+                           match="T is singular.* on the certified path"):
+            sl_certified_spectrum(disc)
+        even = discretize(Potential(kind="step", depth=5.0), L=12.0, n=400)
+        with pytest.raises(ArithmeticError,
+                           match="T is singular.* on the parity path"):
+            containment_report(even, 2.0)
 
     def test_dense_memory_guard(self, monkeypatch):
         disc = discretize(_off_centre_well(0.6, 10.0), L=15.0, n=400)
@@ -546,10 +546,11 @@ class TestContainmentReport:
             assert row["in_paper_box"] and row["in_bst"]
             assert row["margin_paper"] < 0 and row["margin_bst"] < 0
 
-    def test_missing_eigenvalue_is_indeterminate_with_reason(self, monkeypatch):
+    def test_missing_positive_type_eigenvalue_still_closes(self, monkeypatch):
         # Drop the second-largest real eigenvalue: the inertia count then
-        # jumps by 2 across the interval of exactly one of its neighbours,
-        # which is beyond the box and so comes back undecided.
+        # jumps by 2 across the interval of one of its neighbours, beyond
+        # the box.  The dropped eigenvalue is of positive type, so the count
+        # kappa = P + W still closes and certifies every other real one.
         disc = discretize(Potential(kind="step", depth=5.0), L=6.0, n=200)
         full = containment_report(disc, 2.0)
         evals = sl_eigenvalues(disc)
@@ -559,23 +560,21 @@ class TestContainmentReport:
         monkeypatch.setattr(sturm_liouville, "sl_eigenvalues",
                             lambda disc: np.delete(evals, dropped))
         rep = containment_report(disc, 2.0)
-        assert [e["reason"] for e in rep.indeterminate] == ["net inertia jump 2"]
-        assert rep.checks["signType"] == {
-            "tested": full.checks["signType"]["tested"],
-            "failures": 0, "indeterminate": 1}
-        # the dropped eigenvalue is of positive type: the counts stand
+        assert not rep.indeterminate
+        assert rep.checks["signType"] == dict(full.checks["signType"],
+                                              indeterminate=0)
         assert rep.checks["spectrum"] == full.checks["spectrum"]
         assert rep.verified
 
-    def test_sign_checks_ran(self):
+    @pytest.mark.parametrize("depth", [1.0, 5.0, 17.0, 40.0])
+    def test_sign_checks_ran(self, depth):
         # the parity path tests the W real eigenvalues of negative type,
         # which kappa = P + W certifies; every other real one beyond the
         # box has sign type sgn(lam), as its own inertia jump confirms
-        disc = discretize(Potential(kind="step", depth=5.0), L=14.0, n=700)
+        disc = discretize(Potential(kind="step", depth=depth), L=14.0, n=700)
         rep = containment_report(disc, 2.0)
         spectrum = rep.checks["spectrum"]
-        assert spectrum["kappa"] == (spectrum["nonrealPairs"]
-                                     + spectrum["negativeTypeReal"])
+        assert _count_closes(rep)
         signs = [r.sign for r in rep.eigenvalues if r.kind == "real"]
         assert (rep.checks["signType"]["tested"] == len(signs)
                 == spectrum["negativeTypeReal"])
