@@ -149,7 +149,7 @@ SL_SLACK_FLOOR = 1e-6
 TAU0_PANELS_PER_DECADE = 8
 # Largest working set an eig of A may take.  A dense eig holds A itself and
 # the copy LAPACK reduces, 16 n^2 bytes (n = 11585 at 2 GiB); the parity path
-# holds its two (n/2)^2 blocks and their product, 6 n^2 bytes (n = 18918).
+# holds one (n/2)^2 block and its product, 4 n^2 bytes (n = 23170).
 # Above it the run stops with a ConfigError (exit 2) instead of exhausting
 # memory.
 DENSE_EIG_MAX_BYTES = 2 * 1024**3
@@ -441,19 +441,25 @@ def _parity_eigenvalues(disc: SLDiscretization) -> np.ndarray:
     The reflection P anticommutes with A, so in the even/odd basis A is
     off-block [[0, B], [C, 0]] and its eigenvalues are the two square roots
     of each eigenvalue of the half-size product B C.  B and C equal the
-    leading n/2 block of A up to one corner entry.  B, C and B C are live
-    together, 6 n^2 bytes; B and C are freed before the eig of B C.
+    leading n/2 block of A up to the corner entry (m-1, m-1), so B C is
+    B B except in rows m-2 and m-1 of its last column, which a 3 x 3
+    product with C's last column fixes.  B and B C are live together,
+    4 n^2 bytes; B is freed before the eig, whose copy of B C takes its
+    place.
     """
-    guard_eig_memory("parity", disc.n, 6 * disc.n**2)
+    guard_eig_memory("parity", disc.n, 4 * disc.n**2)
     m = disc.n // 2
     main, upper, lower = disc.diagonals
     corner = upper[m - 1]  # entry A[m-1, m]
+    # The product goes below B on the heap, so the eig's copy of it can
+    # reuse B's freed pages; B first would leave a hole too small for it.
+    product = np.empty((m, m))
     b_block = _dense_tridiagonal(main[:m], upper[:m - 1], lower[:m - 1])
-    c_block = b_block.copy()
     b_block[m - 1, m - 1] -= corner
-    c_block[m - 1, m - 1] += corner
-    product = b_block @ c_block
-    del b_block, c_block
+    np.matmul(b_block, b_block, out=product)
+    c_tail = np.array([[0.0], [upper[m - 2]], [main[m - 1] + corner]])
+    product[m - 3:, m - 1:] = b_block[m - 3:, m - 3:] @ c_tail
+    del b_block
     mu = np.linalg.eigvals(product)
     roots = np.sqrt(mu.astype(complex))
     return np.concatenate([roots, -roots])

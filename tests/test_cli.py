@@ -524,12 +524,12 @@ class TestSlCommand:
         assert report["checks"]["spectrum"]["path"] == "certified"
 
     def test_parity_memory_guard_exit_two(self, tmp_path):
-        # an even potential at n = 20000 would put B, C and B C, 2.4 GB, on
+        # an even potential at n = 24000 would put B and B C, 2.3 GB, on
         # the parity path; the guard refuses it before allocating
         code, peak_mb, stderr = self._measured_sl_run(
-            tmp_path, "--kind", "step", "--n", "20000")
+            tmp_path, "--kind", "step", "--n", "24000")
         assert code == 2, stderr
-        assert "parity eigenvalues at n = 20000" in stderr
+        assert "parity eigenvalues at n = 24000" in stderr
         assert peak_mb < 500
         assert not (tmp_path / "sl.json").exists()
 

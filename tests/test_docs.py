@@ -1,12 +1,15 @@
-"""The README documents every named constant of the numerical modules, and
-every constant it documents exists."""
+"""The README documents every named constant of the numerical modules,
+every constant it documents exists, and the eig size caps it states are the
+ones the memory guard enforces."""
 
+import math
 import re
 from pathlib import Path
 
 import pytest
 
 from kreinspec import cli, geometry, operators, reporting, sturm_liouville, verification
+from kreinspec.reporting import ConfigError
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 # mathematical values, not settings
@@ -41,3 +44,23 @@ def test_documented_constants_exist():
                           and any(v != float(value) for v in values)):
             stale.append(f"{name} = {value}")
     assert not stale, f"README documents {stale}, which no module defines so"
+
+
+@pytest.mark.parametrize("path, bytes_per_n2, force_dense",
+                         [("parity", 4, False), ("dense", 16, True)])
+def test_documented_eig_size_caps(path, bytes_per_n2, force_dense):
+    # the largest n whose eig working set fits DENSE_EIG_MAX_BYTES is the
+    # cap README's bullet for that path states, and the next even n is
+    # refused by the guard before anything is allocated (an even step
+    # well takes the parity path unless force_dense)
+    cap = math.isqrt(sturm_liouville.DENSE_EIG_MAX_BYTES // bytes_per_n2)
+    text = README.read_text(encoding="utf-8")
+    bullet = re.search(rf"^- \*\*{path}\*\* .*?(?=^- |^$)", text,
+                       re.MULTILINE | re.DOTALL)
+    assert bullet, f"README has no {path} bullet"
+    assert f"`n` up to {cap})" in bullet.group(), (path, cap)
+    n = cap + 2 - cap % 2  # the smallest even n above the cap
+    disc = sturm_liouville.discretize(
+        sturm_liouville.Potential(kind="step", depth=5.0), L=30.0, n=n)
+    with pytest.raises(ConfigError, match=f"{path} eigenvalues at n = {n} "):
+        sturm_liouville.sl_eigenvalues(disc, force_dense=force_dense)

@@ -304,18 +304,47 @@ class TestNonrealSpectrum:
             assert np.min(np.abs(evals - np.conj(lam))) < 1e-8 * scale
 
     def test_parity_memory_guard(self, monkeypatch):
-        # the parity path holds B, C and B C: 6 n^2 bytes
+        # B and B C: 4 n^2 bytes
         disc = discretize(Potential(kind="step", depth=5.0), L=14.0, n=400)
         assert disc.parity_symmetric
         monkeypatch.setattr(sturm_liouville, "DENSE_EIG_MAX_BYTES",
-                            6 * 400**2 - 1)
+                            4 * 400**2 - 1)
         with pytest.raises(ConfigError,
                            match="parity eigenvalues at n = 400 need about 1 MB"):
             sl_eigenvalues(disc)
         with pytest.raises(ConfigError, match="DENSE_EIG_MAX_BYTES"):
             containment_report(disc, 2.0)
-        monkeypatch.setattr(sturm_liouville, "DENSE_EIG_MAX_BYTES", 6 * 400**2)
+        monkeypatch.setattr(sturm_liouville, "DENSE_EIG_MAX_BYTES", 4 * 400**2)
         assert sl_eigenvalues(disc).size == 400
+
+    @pytest.mark.parametrize("n", [16, 64, 700, 2050])
+    @pytest.mark.parametrize("kind", ["step", "gaussian", "lorentzian"])
+    def test_parity_matches_two_block_product(self, kind, n):
+        # oracle: the eig of B @ C with both blocks built in full; the
+        # one-block product must give the same bits (n = 2050: m is odd)
+        disc = discretize(Potential(kind=kind, depth=5.0), L=14.0, n=n)
+        m = n // 2
+        main, upper, lower = disc.diagonals
+        b_block = np.diag(main[:m]) + np.diag(upper[:m - 1], 1) + np.diag(
+            lower[:m - 1], -1)
+        c_block = b_block.copy()
+        b_block[m - 1, m - 1] -= upper[m - 1]
+        c_block[m - 1, m - 1] += upper[m - 1]
+        roots = np.sqrt(np.linalg.eigvals(b_block @ c_block).astype(complex))
+        np.testing.assert_array_equal(sturm_liouville._parity_eigenvalues(disc),
+                                      np.concatenate([roots, -roots]))
+
+    def test_parity_working_set_is_two_blocks(self):
+        # B and B C, 4 n^2 bytes; a second full block would add 2 n^2
+        n = 1000
+        disc = discretize(Potential(kind="gaussian", depth=5.0), L=14.0, n=n)
+        tracemalloc.start()
+        try:
+            sturm_liouville._parity_eigenvalues(disc)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 5 * n**2, peak
 
 
 class TestSignTypes:
