@@ -249,8 +249,7 @@ def cmd_sl(args) -> int:
     record = _record_for(args, config, file=table_file)
     potential = _build_potential(p)
     disc = discretize(potential, L=p["L"], n=p["n"])
-    report = containment_report(disc, p["p"], slack_c=p["slack_c"],
-                                slack_kappa=p["slack_kappa"], tol=p["tol"])
+    report = containment_report(disc, p["p"])
     record.diagnostics = report.diagnostics
 
     out = Path(p["out"])
@@ -291,7 +290,7 @@ def cmd_tau0(args) -> int:
     else:
         f1, f2, support = extremizer_probe(p["X"])
         reference = None
-    value = tau0_hilbert_form(f1, f2, support, rel_tol=p["rel_tol"])
+    value = tau0_hilbert_form(f1, f2, support)
     upper_ok = value <= TAU0_UPPER_BOUND + TAU0_UPPER_TOL
     payload = {"profile": p["profile"], "X": support[1], "quotient": value,
                "upperBound": TAU0_UPPER_BOUND, "upperBoundSatisfied": upper_ok,

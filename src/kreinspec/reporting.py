@@ -11,6 +11,7 @@ import hashlib
 import json
 import math
 import os
+import sys
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
@@ -117,9 +118,6 @@ COMMAND_SCHEMAS = {
         "p": ("float", 2.0, ">= 2", lambda v: v >= 2.0),
         "L": ("float", 30.0, "> 0", _positive),
         "n": ("int", 4000, "even, >= 16", lambda v: v >= 16 and v % 2 == 0),
-        "tol": ("float", 1e-8, "> 0", _positive),
-        "slack_c": ("float", 1.0, ">= 0", _nonneg),
-        "slack_kappa": ("float", 1.0, ">= 0", _nonneg),
         "out": ("str", "sl_eigenvalues.csv", "", None),
         "report": ("str", "sl_report.json", "", None),
     },
@@ -127,7 +125,6 @@ COMMAND_SCHEMAS = {
         "profile": ("str", "indicator", "one of indicator|extremizer",
                     lambda v: v in ("indicator", "extremizer")),
         "X": ("float", 1e6, "> 1", lambda v: v > 1.0),
-        "rel_tol": ("float", 1e-6, "> 0", _positive),
         "out": ("str", "tau0_report.json", "", None),
     },
 }
@@ -140,8 +137,9 @@ class RunConfig:
 
 
 def normalize_config(command: str, raw: dict) -> RunConfig:
-    """Validate a flat key/value mapping against the command schema, fill
-    defaults, and reject unknown keys; every violation is reported at once."""
+    """Validate a flat key/value mapping against the command schema (a number
+    must be finite as a float), fill defaults and reject unknown keys; every
+    violation is reported at once."""
     if command not in COMMAND_SCHEMAS:
         raise ConfigError(f"unknown command {command!r}; "
                           f"expected one of {sorted(COMMAND_SCHEMAS)}")
@@ -152,8 +150,8 @@ def normalize_config(command: str, raw: dict) -> RunConfig:
         if key in raw and raw[key] is not None:
             value = raw[key]
             pytype = _SCHEMA_TYPES[tname]
-            if pytype is float and isinstance(value, int) and not isinstance(value, bool):
-                value = float(value)
+            if pytype is float and type(value) is int:  # int vs float compares exactly
+                value = float(value) if abs(value) <= sys.float_info.max else math.inf
             if pytype is int and isinstance(value, bool):
                 errors.append(f"field {key!r}: expected int, got bool")
                 continue
@@ -161,8 +159,8 @@ def normalize_config(command: str, raw: dict) -> RunConfig:
                 errors.append(f"field {key!r}: expected {tname}, "
                               f"got {type(value).__name__}")
                 continue
-            if pytype is float and not math.isfinite(value):
-                errors.append(f"field {key!r}: must be finite")
+            if pytype is not str and not abs(value) <= sys.float_info.max:
+                errors.append(f"field {key!r}: must be finite, in float range")
                 continue
             if check is not None and not check(value):
                 errors.append(f"field {key!r}: must be {desc}, got {value!r}")
@@ -171,7 +169,7 @@ def normalize_config(command: str, raw: dict) -> RunConfig:
         else:
             params[key] = default
     if errors:
-        raise ConfigError("invalid configuration:\n  " + "\n  ".join(errors))
+        raise ConfigError("invalid configuration: " + "; ".join(errors))
     return RunConfig(command=command, params=params)
 
 

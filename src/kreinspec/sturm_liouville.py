@@ -130,6 +130,8 @@ _QUAD_RTOL = 1e-12
 _QUAD_NODES = 16
 _QUAD_MAX_DEPTH = 50
 _QUAD_MAX_PANELS = 1000
+# An eigenvalue z within SL_REAL_TOL (1 + |z|) of the real axis is real.
+SL_REAL_TOL = 1e-8
 # A Ritz pair (theta, x) of the certified solver has converged when its
 # backward residual norm(T x - theta S x) / (norm(T) norm(x)) is at most this.
 SL_RESIDUAL_TOL = 1e-14
@@ -143,10 +145,12 @@ SL_BRACKET_WIDTH = 1e-10
 SL_MAX_ITERATIONS = 30
 # A potential is even on the grid (the parity path) when its samples at x and
 # -x differ by at most PARITY_TOL max(sup |q|, 1); containment_slack's floor;
-# logarithmic panels per decade of tau0_hilbert_form's quadrature.
+# logarithmic panels per decade of tau0_hilbert_form's quadrature, which
+# stops when two passes differ by at most TAU0_REL_TOL max(|quotient|, 1).
 PARITY_TOL = 1e-13
 SL_SLACK_FLOOR = 1e-6
 TAU0_PANELS_PER_DECADE = 8
+TAU0_REL_TOL = 1e-6
 # Largest working set an eig of A may take.  A dense eig holds A itself and
 # the copy LAPACK reduces, 16 n^2 bytes (n = 11585 at 2 GiB); the parity path
 # holds one (n/2)^2 block and its product, 4 n^2 bytes (n = 23170).
@@ -367,8 +371,8 @@ class SLDiscretization:
     node at zero, Dirichlet conditions at +-L.  T is the Hermitian
     tridiagonal -D2 + diag(q); the weight is diag(sgn(x)); A is their
     product, a real nonsymmetric tridiagonal matrix.  Only the potential
-    samples are stored: every form of A derives from ``diagonals``, and
-    the dense ``A`` and ``T`` are built anew on each access (test oracles).
+    samples are stored: ``t_diagonals`` gives T's diagonals, A's are S times
+    them, and the dense ``A`` and ``T`` are built anew on each access (oracles).
     """
 
     potential: Potential
@@ -380,11 +384,17 @@ class SLDiscretization:
     signs: np.ndarray
 
     @property
+    def t_diagonals(self) -> tuple:
+        """T's (main, off) diagonals: 2/h^2 + q and -1/h^2."""
+        return (2.0 / self.h**2 + self.q_values,
+                np.full(self.n - 1, -1.0 / self.h**2))
+
+    @property
     def diagonals(self) -> tuple:
-        """A's (main, upper, lower) diagonals; the upper one holds
-        A[i, i+1] and the lower one A[i+1, i]."""
-        off = self.signs * (-1.0 / self.h**2)
-        return self.signs * (2.0 / self.h**2 + self.q_values), off[:-1], off[1:]
+        """A's (main, upper, lower) diagonals, S times T's (exact: S is
+        +-1); the upper one holds A[i, i+1] and the lower one A[i+1, i]."""
+        (main, off), s = self.t_diagonals, self.signs
+        return s * main, s[:-1] * off, s[1:] * off
 
     @property
     def A(self) -> np.ndarray:
@@ -392,9 +402,8 @@ class SLDiscretization:
 
     @property
     def T(self) -> np.ndarray:
-        main, upper, lower = self.diagonals
-        s = self.signs
-        return _dense_tridiagonal(s * main, s[:-1] * upper, s[1:] * lower)
+        main, off = self.t_diagonals
+        return _dense_tridiagonal(main, off, off)
 
     @property
     def parity_symmetric(self) -> bool:
@@ -419,6 +428,7 @@ def discretize(q: Potential, L: float = 30.0, n: int = 4000) -> SLDiscretization
         raise ValueError(f"L > 0 required, got {L}")
     if n < 16 or n % 2 != 0:
         raise ValueError(f"n must be even and >= 16, got {n}")
+    guard_eig_memory("grid", n, 24 * n)  # grid_x, q_values and signs
     h = 2.0 * L / (n + 1)
     x = -L + h * np.arange(1, n + 1)
     return SLDiscretization(potential=q, L=L, n=n, h=h, grid_x=x,
@@ -426,13 +436,13 @@ def discretize(q: Potential, L: float = 30.0, n: int = 4000) -> SLDiscretization
 
 
 def guard_eig_memory(path: str, n: int, need: int) -> None:
-    """Refuse an eig whose working set of ``need`` bytes exceeds
-    ``DENSE_EIG_MAX_BYTES``, before anything is allocated."""
+    """Refuse, in integer arithmetic (any n), a working set of ``need``
+    bytes above ``DENSE_EIG_MAX_BYTES``, before anything is allocated."""
     if need > DENSE_EIG_MAX_BYTES:
         raise ConfigError(
-            f"{path} eigenvalues at n = {n} need about {need / 1e6:.0f} "
-            f"MB, above the limit DENSE_EIG_MAX_BYTES = "
-            f"{DENSE_EIG_MAX_BYTES / 1e6:.0f} MB")
+            f"{path} eigenvalues at n = {n} need about "
+            f"{(need + 500_000) // 10**6} MB, above the limit "
+            f"DENSE_EIG_MAX_BYTES = {(DENSE_EIG_MAX_BYTES + 500_000) // 10**6} MB")
 
 
 def _parity_eigenvalues(disc: SLDiscretization) -> np.ndarray:
@@ -491,10 +501,8 @@ def _sturm_counts(disc: SLDiscretization, points) -> tuple:
     in the same order, so both give the same counts and flags.
     """
     points = np.asarray(points, dtype=float)
-    main, upper, _ = disc.diagonals
-    signs = disc.signs
-    t_main = signs * main
-    t_off_sq = np.concatenate(([0.0], (signs[:-1] * upper) ** 2))
+    (t_main, t_off), signs = disc.t_diagonals, disc.signs
+    t_off_sq = np.concatenate(([0.0], t_off**2))
     pivmin = np.finfo(float).tiny * max(1.0, float(np.max(t_off_sq)))
     if points.size <= _STURM_SCALAR_POINTS:
         negatives, singular = [], []
@@ -594,14 +602,14 @@ def _closed_spectrum(path: str, kappa: int, singular: bool, upper, real,
 
 
 def _from_all_eigenvalues(disc: SLDiscretization, path: str, evals,
-                          tol: float, **solve) -> SLSpectrum:
+                          **solve) -> SLSpectrum:
     """The ``SLSpectrum`` of all n eigenvalues of A.  One within
-    ``tol (1 + |z|)`` of the real axis counts as real and gets its
+    ``SL_REAL_TOL (1 + |z|)`` of the real axis counts as real and gets its
     ``sl_sign_types`` inertia jump; ``_closed_spectrum`` keeps the non-real
     ones with Im > 0 and the reals of negative T-type, and raises
     ``ArithmeticError`` when their count does not close."""
     evals = np.asarray(evals, dtype=complex)
-    is_real = np.abs(evals.imag) <= tol * (1.0 + np.abs(evals))
+    is_real = np.abs(evals.imag) <= SL_REAL_TOL * (1.0 + np.abs(evals))
     nonreal, real = evals[~is_real], np.sort(evals[is_real].real)
     (kappa,), (singular,) = _sturm_counts(disc, [0.0])
     return _closed_spectrum(path, int(kappa), bool(singular),
@@ -643,7 +651,7 @@ def _orthonormal_extension(basis, new) -> np.ndarray:
     return basis
 
 
-def sl_certified_spectrum(disc: SLDiscretization, tol: float = 1e-8) -> SLSpectrum:
+def sl_certified_spectrum(disc: SLDiscretization) -> SLSpectrum:
     """The kappa eigenvalues of non-positive T-type, certified by the count
     kappa = P + W, in O(n) memory; reduced from a dense eig when it does not
     close, and refused (``ArithmeticError``) for a singular T.
@@ -663,7 +671,7 @@ def sl_certified_spectrum(disc: SLDiscretization, tol: float = 1e-8) -> SLSpectr
     target whose backward residual exceeds ``SL_RESIDUAL_TOL`` adds the real
     and imaginary parts of one shifted solve (T - theta S)^-1 S x to Q.
     The result is certified when every target has converged, the targets
-    are distinct, none of the non-real ones lies within ``tol (1 + |lam|)``
+    are distinct, none of the non-real ones lies within ``SL_REAL_TOL``
     of the real axis (the report would call it real), and the count closes
     (``_closed_spectrum``), W taken from the inertia jump across each real
     target's bracket (``SL_BRACKET_WIDTH``).  Otherwise
@@ -672,16 +680,14 @@ def sl_certified_spectrum(disc: SLDiscretization, tol: float = 1e-8) -> SLSpectr
     """
     from scipy.linalg import eig, eigh_tridiagonal  # imported on first use
 
-    main, upper, _ = disc.diagonals
-    s = disc.signs
-    t_main, t_off = s * main, s[:-1] * upper
+    (t_main, t_off), s = disc.t_diagonals, disc.signs
     (kappa,), (singular,) = _sturm_counts(disc, [0.0])
     kappa = int(kappa)
     iterations, residual = 0, None
 
     def fallback(reason):
         return _from_all_eigenvalues(
-            disc, "dense", sl_eigenvalues(disc, force_dense=True), tol,
+            disc, "dense", sl_eigenvalues(disc, force_dense=True),
             iterations=iterations, residual=residual, reason=reason)
 
     if singular or kappa == 0:  # nothing to solve for, or no solve at 0
@@ -729,10 +735,10 @@ def sl_certified_spectrum(disc: SLDiscretization, tol: float = 1e-8) -> SLSpectr
     if np.any(gaps <= 0.0):
         return fallback("two Ritz values within their error radii")
     nonreal = theta.imag > 0
-    near_real = nonreal & (theta.imag <= tol * (1.0 + np.abs(theta)))
+    near_real = nonreal & (theta.imag <= SL_REAL_TOL * (1.0 + np.abs(theta)))
     if np.any(near_real):
         return fallback(f"non-real eigenvalue {complex(theta[near_real][0])} "
-                        f"within tol {tol} of the real axis")
+                        f"within tol {SL_REAL_TOL} of the real axis")
     lam, width = theta[~nonreal].real, radius[~nonreal]
     order = np.argsort(lam)
     lam, width = lam[order], width[order]
@@ -746,18 +752,15 @@ def sl_certified_spectrum(disc: SLDiscretization, tol: float = 1e-8) -> SLSpectr
         return fallback(str(exc))
 
 
-def containment_slack(disc: SLDiscretization, scale: float,
-                      c: float = 1.0, kappa: float = 1.0) -> float:
-    """Region inflation for discretized eigenvalues, at least SL_SLACK_FLOOR:
-    the continuous statement is exact, the discretization is a proxy with
-    O(h^2) consistency error and an exponentially small truncation term."""
+def containment_slack(disc: SLDiscretization, scale: float) -> float:
+    """Region inflation max(SL_SLACK_FLOOR, h^2 sup|q| + exp(-L) scale).  It
+    covers a Gaussian well's O(h^2) error, not a step well's O(h) one (22
+    times it at n = 4000), which moves no verdict: step margins are <= -8."""
     q_sup = float(np.max(np.abs(disc.q_values)))
-    return max(SL_SLACK_FLOOR, c * disc.h**2 * q_sup + math.exp(-kappa * disc.L) * scale)
+    return max(SL_SLACK_FLOOR, disc.h**2 * q_sup + math.exp(-disc.L) * scale)
 
 
-def containment_report(disc: SLDiscretization, p: float,
-                       slack_c: float = 1.0, slack_kappa: float = 1.0,
-                       tol: float = 1e-8) -> VerificationReport:
+def containment_report(disc: SLDiscretization, p: float) -> VerificationReport:
     """Check the non-real eigenvalues against the box and the competing
     region (inflated by the discretization slack), and the sign type of the
     real eigenvalues beyond the box.
@@ -776,13 +779,11 @@ def containment_report(disc: SLDiscretization, p: float,
     q_norm = lp_norm(disc.potential, p)
     box = sl_box(p, q_norm)
     bst = bst_region(p, q_norm)
-    slack = containment_slack(disc, max(1.0, box.re_half_width),
-                              c=slack_c, kappa=slack_kappa)
+    slack = containment_slack(disc, max(1.0, box.re_half_width))
     if disc.parity_symmetric:
-        spectrum = _from_all_eigenvalues(disc, "parity", sl_eigenvalues(disc),
-                                         tol)
+        spectrum = _from_all_eigenvalues(disc, "parity", sl_eigenvalues(disc))
     else:
-        spectrum = sl_certified_spectrum(disc, tol)
+        spectrum = sl_certified_spectrum(disc)
     kind = disc.potential.kind
     report = VerificationReport(
         instance={"potential": kind, "L": disc.L, "n": disc.n, "p": p,
@@ -1006,7 +1007,7 @@ def _hilbert_quotient(f1, f2, lo: float, hi: float, m: int) -> float:
     return 1.0 + (2.0 / math.pi) * ii / norm_sq
 
 
-def tau0_hilbert_form(f1, f2, support: tuple, rel_tol: float = 1e-6) -> float:
+def tau0_hilbert_form(f1, f2, support: tuple) -> float:
     """Rayleigh quotient of the involution form on a split function (f1, f2)
     supported in (0, inf):
 
@@ -1021,7 +1022,7 @@ def tau0_hilbert_form(f1, f2, support: tuple, rel_tol: float = 1e-6) -> float:
     matrix is block-Toeplitz: m x m blocks, one per lag between the P
     panels, make up each quadratic form (``_hilbert_quotient``), and memory
     grows as N = P m, not N^2.  m doubles from 8 until the quotient
-    stabilizes to rel_tol, else a QuadratureError is raised.
+    stabilizes to TAU0_REL_TOL, else a QuadratureError is raised.
 
     ``f2 = None`` means the second component vanishes.
     """
@@ -1034,7 +1035,7 @@ def tau0_hilbert_form(f1, f2, support: tuple, rel_tol: float = 1e-6) -> float:
     for _ in range(4):
         nodes *= 2
         cur = _hilbert_quotient(f1, f2, lo, hi, nodes)
-        if abs(cur - prev) <= rel_tol * max(abs(cur), 1.0):
+        if abs(cur - prev) <= TAU0_REL_TOL * max(abs(cur), 1.0):
             return cur
         prev = cur
     raise QuadratureError("Rayleigh-quotient quadrature did not stabilize")

@@ -620,6 +620,89 @@ class TestSlCommand:
         assert reports[0] == reports[1]
 
 
+# 401 digits: an integer no float holds
+BIG = 10**400
+
+
+class TestOversizedInputs:
+    """An input too large to use is a usage error: exit 2 with a one-line
+    message, no traceback and no report."""
+
+    @staticmethod
+    def _sl(tmp_path, *argv):
+        return ["sl", *argv, "--out", str(tmp_path / "eigs.csv"),
+                "--report", str(tmp_path / "r.json")]
+
+    def _refused(self, tmp_path, capsys, argv, message):
+        assert run(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert message in err and "Traceback" not in err
+        assert not (tmp_path / "r.json").exists()
+
+    def test_sl_n_beyond_float_range(self, tmp_path, capsys):
+        self._refused(tmp_path, capsys, self._sl(tmp_path, "--n", str(BIG)),
+                      "field 'n': must be finite")
+
+    def test_sl_config_l_beyond_float_range(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"kind": "step", "L": BIG}))
+        self._refused(tmp_path, capsys,
+                      self._sl(tmp_path, "--config", str(cfg)),
+                      "field 'L': must be finite")
+
+    def test_matrix_lab_max_dim_beyond_float_range(self, tmp_path, capsys):
+        self._refused(tmp_path, capsys,
+                      ["matrix-lab", "--max-dim", str(BIG), "--report",
+                       str(tmp_path / "r.json")],
+                      "field 'max_dim': must be finite")
+
+    def test_matrix_lab_max_dim_estimate_beyond_float_range(self, tmp_path,
+                                                            capsys):
+        # 10^200 is a float, but its 48 * 1000 * n^2 byte estimate is not:
+        # the memory guard computes in integers
+        self._refused(tmp_path, capsys,
+                      ["matrix-lab", "--max-dim", str(10**200), "--report",
+                       str(tmp_path / "r.json")],
+                      "DENSE_EIG_MAX_BYTES")
+
+    def test_sl_grid_above_memory_limit(self, tmp_path, capsys):
+        # the grid alone (24 n bytes) is refused before it is allocated
+        self._refused(tmp_path, capsys,
+                      self._sl(tmp_path, "--kind", "step", "--n",
+                               "10000000000000"),
+                      "grid eigenvalues at n = 10000000000000")
+
+
+# the settings that could move a verdict and are named constants instead
+REMOVED = [("sl", "tol", "1e-8"), ("sl", "slack_c", "1"),
+           ("sl", "slack_kappa", "1"), ("tau0", "rel_tol", "1e-6")]
+
+
+class TestRemovedSettings:
+    @pytest.mark.parametrize("command, key, value", REMOVED)
+    def test_flag_exit_two(self, tmp_path, capsys, command, key, value):
+        flag = "--" + key.replace("_", "-")
+        with pytest.raises(SystemExit) as help_exit:
+            run([command, "--help"])
+        assert help_exit.value.code == 0
+        assert flag not in capsys.readouterr().out
+        with pytest.raises(SystemExit) as exc:
+            run([command, flag, value, "--out", str(tmp_path / "r.json")])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+        assert not (tmp_path / "r.json").exists()
+
+    @pytest.mark.parametrize("command, key, value", REMOVED)
+    def test_config_key_exit_two(self, tmp_path, capsys, command, key, value):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({key: float(value)}))
+        assert run([command, "--config", str(cfg),
+                    "--out", str(tmp_path / "r.json")]) == 2
+        assert f"unknown key {key!r}" in capsys.readouterr().err
+        assert not (tmp_path / "r.json").exists()
+
+
 class TestTau0Command:
     def test_indicator_profile(self, tmp_path):
         report = tmp_path / "tau0.json"

@@ -1,7 +1,9 @@
 """The README documents every named constant of the numerical modules,
-every constant it documents exists, and the eig size caps it states are the
-ones the memory guard enforces."""
+every constant it documents exists, the eig size caps it states are the
+ones the memory guard enforces, and the CLI flags it names are the
+parser's."""
 
+import argparse
 import math
 import re
 from pathlib import Path
@@ -64,3 +66,47 @@ def test_documented_eig_size_caps(path, bytes_per_n2, force_dense):
         sturm_liouville.Potential(kind="step", depth=5.0), L=30.0, n=n)
     with pytest.raises(ConfigError, match=f"{path} eigenvalues at n = {n} "):
         sturm_liouville.sl_eigenvalues(disc, force_dense=force_dense)
+
+
+def _parser_flags() -> set:
+    """Every option string of ``kreinspec`` and of its subcommands."""
+    parser = cli.build_parser()
+    subs = next(a for a in parser._actions
+                if isinstance(a, argparse._SubParsersAction))
+    flags = set(parser._option_string_actions)
+    for sub in subs.choices.values():
+        flags |= set(sub._option_string_actions)
+    return flags
+
+
+def _unknown_flags(text: str, flags: set) -> list:
+    """The ``--flags`` of ``text`` that no parser defines; the lines of
+    other programs' commands (``pip``, ``pytest``) are skipped."""
+    lines = [line for line in text.splitlines()
+             if not line.lstrip().startswith(("pip ", "pytest"))]
+    named = re.findall(r"(?<![\w-])--[A-Za-z][\w-]*", "\n".join(lines))
+    return sorted(set(named) - flags)
+
+
+def test_readme_flags_are_parser_flags():
+    # --config, --version and --no-KEY are option strings of the parser
+    # too; a README still naming a removed flag fails
+    flags = _parser_flags()
+    text = README.read_text(encoding="utf-8")
+    assert not _unknown_flags(text, flags)
+    stale = text + "\n`--tol`, `--slack-c`, `--slack-kappa`, `--rel-tol`\n"
+    assert _unknown_flags(stale, flags) == [
+        "--rel-tol", "--slack-c", "--slack-kappa", "--tol"]
+
+
+@pytest.mark.parametrize("command", sorted(reporting.COMMAND_SCHEMAS))
+def test_readme_flag_table_lists_every_config_key(command):
+    # the README's flag table row for each subcommand names exactly the
+    # flags of its config keys
+    text = README.read_text(encoding="utf-8")
+    row = re.search(rf"^\| `{command}` \|(.*)\|$", text, re.MULTILINE)
+    assert row, f"README's flag table has no row for {command}"
+    listed = re.findall(r"`(--[\w-]+)`", row.group(1))
+    keys = ["--" + key.replace("_", "-")
+            for key in reporting.COMMAND_SCHEMAS[command]]
+    assert listed == keys

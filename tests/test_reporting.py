@@ -36,15 +36,16 @@ class TestConfig:
 
     def test_negative_tolerance_rejected_with_field_name(self, tmp_path):
         path = tmp_path / "cfg.json"
-        path.write_text('{"tol": -1e-8}')
-        with pytest.raises(ConfigError, match="tol"):
+        path.write_text('{"L": -1}')
+        with pytest.raises(ConfigError, match="field 'L': must be > 0"):
             load_config(path, "sl")
 
     def test_all_violations_reported_at_once(self):
         with pytest.raises(ConfigError) as err:
-            normalize_config("sl", {"tol": -1.0, "n": 17, "bogus": 3})
+            normalize_config("sl", {"L": -1, "n": 17, "bogus": 3})
         msg = str(err.value)
-        assert "tol" in msg and "n" in msg and "bogus" in msg
+        assert "'L'" in msg and "'n'" in msg and "'bogus'" in msg
+        assert "\n" not in msg  # one line
 
     def test_unknown_key_rejected(self):
         with pytest.raises(ConfigError, match="unknown key"):

@@ -234,6 +234,13 @@ class TestDiscretize:
         np.testing.assert_array_equal(dense, np.diag(main) + np.diag(upper, 1)
                                       + np.diag(lower, -1))
         np.testing.assert_array_equal(disc.T, disc.signs[:, None] * dense)
+        # T's diagonals are the one representation: 2/h^2 + q and -1/h^2,
+        # and A's are S times them, exactly (S is +-1)
+        t_main, t_off = disc.t_diagonals
+        np.testing.assert_array_equal(t_main, 2.0 / disc.h**2 + disc.q_values)
+        np.testing.assert_array_equal(t_off, -1.0 / disc.h**2)
+        np.testing.assert_array_equal(disc.T, np.diag(t_main) + np.diag(t_off, 1)
+                                      + np.diag(t_off, -1))
 
 
 def _nonreal(report):
@@ -416,6 +423,38 @@ class TestCertifiedSpectrum:
                                    rtol=1e-10, atol=0.0)
         np.testing.assert_array_equal(spec.jumps, neg_jumps)
         assert spec.residual <= sturm_liouville.SL_RESIDUAL_TOL
+
+    @pytest.mark.skipif(np.finfo(np.longdouble).eps == np.finfo(float).eps,
+                        reason="np.longdouble is double here")
+    def test_nonreal_eigenvalues_match_long_double_newton(self):
+        # each non-real eigenvalue of a depth-10 step well at n = 4000 lies
+        # within 1e-12 max(|z|, 1) of the root of det(A - z) that Newton's
+        # method finds from it.  f'/f = sum r_k'/r_k over the LDU pivots
+        # r_k = (a_k - z) - b_{k-1} c_{k-1} / r_{k-1}, all in np.clongdouble
+        disc = discretize(Potential(kind="step", depth=10.0), L=30.0, n=4000)
+        spec = sl_certified_spectrum(disc)
+        assert spec.path == "certified", spec.reason
+        main, upper, lower = (d.astype(np.longdouble) for d in disc.diagonals)
+        products = upper * lower
+        z = spec.eigenvalues[:spec.nonreal_pairs].astype(np.clongdouble)
+        assert z.size == 3
+        for _ in range(4):
+            pivot = main[0] - z
+            d_pivot = -np.ones_like(z)
+            log_derivative = d_pivot / pivot
+            for a, bc in zip(main[1:], products):
+                ratio = bc / pivot
+                d_pivot = -1 + ratio * d_pivot / pivot
+                pivot = (a - z) - ratio
+                log_derivative += d_pivot / pivot
+            step = 1 / log_derivative
+            z -= step
+            if np.all(np.abs(step) <= 1e-15 * np.abs(z)):
+                break
+        assert np.all(np.abs(step) <= 1e-15 * np.abs(z)), "Newton stalled"
+        root = z.astype(complex)
+        error = np.abs(spec.eigenvalues[:spec.nonreal_pairs] - root)
+        assert np.all(error <= 1e-12 * np.maximum(np.abs(root), 1.0)), error
 
     def test_negative_type_real_eigenvalue(self):
         # the off-centre well deep enough for W = 1: a real eigenvalue
@@ -927,11 +966,12 @@ class TestTau0HilbertForm:
                 blocks = sturm_liouville._hilbert_quotient(f1, f2, lo, hi, m)
                 assert blocks == pytest.approx(dense, rel=1e-13), (hi, m)
 
-    def test_unreachable_tolerance_raises(self):
+    def test_unreachable_tolerance_raises(self, monkeypatch):
         # a jump inside a panel: passes keep differing by O(1/m)
         jump = lambda x: (x < 1.3).astype(float)
+        monkeypatch.setattr(sturm_liouville, "TAU0_REL_TOL", 1e-300)
         with pytest.raises(sturm_liouville.QuadratureError):
-            tau0_hilbert_form(jump, None, (1.0, 2.0), rel_tol=1e-300)
+            tau0_hilbert_form(jump, None, (1.0, 2.0))
 
     def test_memory_grows_with_nodes_not_their_square(self):
         # N = 768 nodes at X = 1e6 (16 a panel); the N x N rule needed about
