@@ -3,10 +3,10 @@
 This module carries the concrete pipeline: the enclosure constants for
 potentials measured in an L^p norm, the competing published region they are
 compared against, finite-difference discretization with a sign-symmetric
-grid, non-real eigenvalue extraction (the index-certified solver for
-potentials that are not even), containment reports, the multiplier
-inequality checker, and the Rayleigh-quotient estimator for the norm of the
-involution built from the unperturbed spectral projections.
+grid, non-real eigenvalue extraction by the index-certified solver,
+containment reports, the multiplier inequality checker, and the
+Rayleigh-quotient estimator for the norm of the involution built from the
+unperturbed spectral projections.
 """
 
 import math
@@ -143,19 +143,16 @@ SL_RESIDUAL_TOL = 1e-14
 SL_BRACKET_WIDTH = 1e-10
 # Expansion rounds after which the certified solver falls back to dense eig.
 SL_MAX_ITERATIONS = 30
-# A potential is even on the grid (the parity path) when its samples at x and
-# -x differ by at most PARITY_TOL max(sup |q|, 1); containment_slack's floor;
-# logarithmic panels per decade of tau0_hilbert_form's quadrature, which
-# stops when two passes differ by at most TAU0_REL_TOL max(|quotient|, 1).
-PARITY_TOL = 1e-13
+# containment_slack's floor; logarithmic panels per decade of
+# tau0_hilbert_form's quadrature, which stops when two passes differ by at
+# most TAU0_REL_TOL max(|quotient|, 1).
 SL_SLACK_FLOOR = 1e-6
 TAU0_PANELS_PER_DECADE = 8
 TAU0_REL_TOL = 1e-6
-# Largest working set an eig of A may take.  A dense eig holds A itself and
-# the copy LAPACK reduces, 16 n^2 bytes (n = 11585 at 2 GiB); the parity path
-# holds one (n/2)^2 block and its product, 4 n^2 bytes (n = 23170).
-# Above it the run stops with a ConfigError (exit 2) instead of exhausting
-# memory.
+# Largest working set the certified solver's dense fallback may take.  Its
+# eig holds A itself and the copy LAPACK reduces, 16 n^2 bytes (n = 11585 at
+# 2 GiB), whatever the potential.  Above it the run stops with a ConfigError
+# (exit 2) instead of exhausting memory.
 DENSE_EIG_MAX_BYTES = 2 * 1024**3
 # _sturm_counts runs its recurrence point by point on Python floats for up to
 # this many points, and row by row vectorized over the points above it.  On
@@ -405,12 +402,6 @@ class SLDiscretization:
         main, off = self.t_diagonals
         return _dense_tridiagonal(main, off, off)
 
-    @property
-    def parity_symmetric(self) -> bool:
-        q = self.q_values
-        scale = max(float(np.max(np.abs(q))), 1.0)
-        return bool(np.all(np.abs(q - q[::-1]) <= PARITY_TOL * scale))
-
 
 def _dense_tridiagonal(main, upper, lower) -> np.ndarray:
     """Dense matrix with the given diagonals, filled into one zeros array."""
@@ -445,42 +436,10 @@ def guard_eig_memory(path: str, n: int, need: int) -> None:
             f"DENSE_EIG_MAX_BYTES = {(DENSE_EIG_MAX_BYTES + 500_000) // 10**6} MB")
 
 
-def _parity_eigenvalues(disc: SLDiscretization) -> np.ndarray:
-    """Spectrum via the parity splitting, valid for even potentials.
-
-    The reflection P anticommutes with A, so in the even/odd basis A is
-    off-block [[0, B], [C, 0]] and its eigenvalues are the two square roots
-    of each eigenvalue of the half-size product B C.  B and C equal the
-    leading n/2 block of A up to the corner entry (m-1, m-1), so B C is
-    B B except in rows m-2 and m-1 of its last column, which a 3 x 3
-    product with C's last column fixes.  B and B C are live together,
-    4 n^2 bytes; B is freed before the eig, whose copy of B C takes its
-    place.
-    """
-    guard_eig_memory("parity", disc.n, 4 * disc.n**2)
-    m = disc.n // 2
-    main, upper, lower = disc.diagonals
-    corner = upper[m - 1]  # entry A[m-1, m]
-    # The product goes below B on the heap, so the eig's copy of it can
-    # reuse B's freed pages; B first would leave a hole too small for it.
-    product = np.empty((m, m))
-    b_block = _dense_tridiagonal(main[:m], upper[:m - 1], lower[:m - 1])
-    b_block[m - 1, m - 1] -= corner
-    np.matmul(b_block, b_block, out=product)
-    c_tail = np.array([[0.0], [upper[m - 2]], [main[m - 1] + corner]])
-    product[m - 3:, m - 1:] = b_block[m - 3:, m - 3:] @ c_tail
-    del b_block
-    mu = np.linalg.eigvals(product)
-    roots = np.sqrt(mu.astype(complex))
-    return np.concatenate([roots, -roots])
-
-
-def sl_eigenvalues(disc: SLDiscretization, force_dense: bool = False) -> np.ndarray:
-    """All eigenvalues of A, using the exact half-size parity reduction when
-    the potential is even on the grid.  An eig whose working set would
-    exceed ``DENSE_EIG_MAX_BYTES`` raises ``ConfigError`` before it starts."""
-    if disc.parity_symmetric and not force_dense:
-        return _parity_eigenvalues(disc)
+def sl_eigenvalues(disc: SLDiscretization) -> np.ndarray:
+    """All n eigenvalues of A by a dense eig: the certified solver's
+    fallback, and the tests' oracle.  An eig whose working set would exceed
+    ``DENSE_EIG_MAX_BYTES`` raises ``ConfigError`` before it starts."""
     guard_eig_memory("dense", disc.n, 16 * disc.n**2)
     return np.linalg.eigvals(disc.A)
 
@@ -551,9 +510,9 @@ class SLSpectrum:
     them: the ``nonreal_pairs`` (P) non-real ones with Im > 0, sorted, then
     the W real ones of negative T-type, ascending, with inertia ``jumps``.
     ``kappa`` is the number of negative eigenvalues of T, and kappa = P + W
-    on every path (``_closed_spectrum``).  The certified solve adds its
-    ``iterations`` and largest backward ``residual``, and a dense fallback
-    its ``reason``.
+    on both paths, certified and dense (``_closed_spectrum``).  The
+    certified solve adds its ``iterations`` and largest backward
+    ``residual``, and a dense fallback its ``reason``.
     """
 
     path: str
@@ -577,7 +536,7 @@ class SLSpectrum:
 def _closed_spectrum(path: str, kappa: int, singular: bool, upper, real,
                      jumps, **solve) -> SLSpectrum:
     """The ``SLSpectrum`` of the candidates, certified by the count
-    kappa = P + W; the one closing rule of every path.
+    kappa = P + W; the one closing rule of both paths.
 
     ``kappa`` and ``singular`` are T's Sturm count at 0 and its flag,
     ``upper`` the non-real candidates with Im > 0 (P of them), ``real`` the
@@ -599,22 +558,6 @@ def _closed_spectrum(path: str, kappa: int, singular: bool, upper, real,
                                             real[negative])),
                       kappa=kappa, nonreal_pairs=pairs,
                       jumps=tuple(int(j) for j in jumps[negative]), **solve)
-
-
-def _from_all_eigenvalues(disc: SLDiscretization, path: str, evals,
-                          **solve) -> SLSpectrum:
-    """The ``SLSpectrum`` of all n eigenvalues of A.  One within
-    ``SL_REAL_TOL (1 + |z|)`` of the real axis counts as real and gets its
-    ``sl_sign_types`` inertia jump; ``_closed_spectrum`` keeps the non-real
-    ones with Im > 0 and the reals of negative T-type, and raises
-    ``ArithmeticError`` when their count does not close."""
-    evals = np.asarray(evals, dtype=complex)
-    is_real = np.abs(evals.imag) <= SL_REAL_TOL * (1.0 + np.abs(evals))
-    nonreal, real = evals[~is_real], np.sort(evals[is_real].real)
-    (kappa,), (singular,) = _sturm_counts(disc, [0.0])
-    return _closed_spectrum(path, int(kappa), bool(singular),
-                            nonreal[nonreal.imag > 0], real,
-                            sl_sign_types(disc, real), **solve)
 
 
 def _tridiagonal_matmul(main, off, x) -> np.ndarray:
@@ -674,9 +617,11 @@ def sl_certified_spectrum(disc: SLDiscretization) -> SLSpectrum:
     are distinct, none of the non-real ones lies within ``SL_REAL_TOL``
     of the real axis (the report would call it real), and the count closes
     (``_closed_spectrum``), W taken from the inertia jump across each real
-    target's bracket (``SL_BRACKET_WIDTH``).  Otherwise
-    ``_from_all_eigenvalues`` reduces the dense eigenvalues by the same
-    rule, and the result carries the reason.
+    target's bracket (``SL_BRACKET_WIDTH``).  Otherwise the n eigenvalues
+    of ``sl_eigenvalues`` are reduced by the same rule, and the result, on
+    the dense path, carries the reason: one within ``SL_REAL_TOL (1 + |z|)``
+    of the real axis counts as real and gets its ``sl_sign_types`` inertia
+    jump, and a count that does not close raises ``ArithmeticError``.
     """
     from scipy.linalg import eig, eigh_tridiagonal  # imported on first use
 
@@ -686,9 +631,14 @@ def sl_certified_spectrum(disc: SLDiscretization) -> SLSpectrum:
     iterations, residual = 0, None
 
     def fallback(reason):
-        return _from_all_eigenvalues(
-            disc, "dense", sl_eigenvalues(disc, force_dense=True),
-            iterations=iterations, residual=residual, reason=reason)
+        evals = np.asarray(sl_eigenvalues(disc), dtype=complex)
+        is_real = np.abs(evals.imag) <= SL_REAL_TOL * (1.0 + np.abs(evals))
+        nonreal, real = evals[~is_real], np.sort(evals[is_real].real)
+        return _closed_spectrum("dense", kappa, False,
+                                nonreal[nonreal.imag > 0], real,
+                                sl_sign_types(disc, real),
+                                iterations=iterations, residual=residual,
+                                reason=reason)
 
     if singular or kappa == 0:  # nothing to solve for, or no solve at 0
         none = np.zeros(0)
@@ -765,25 +715,24 @@ def containment_report(disc: SLDiscretization, p: float) -> VerificationReport:
     region (inflated by the discretization slack), and the sign type of the
     real eigenvalues beyond the box.
 
-    The eigenvalues of non-positive type come from the parity reduction for
-    an even potential, from ``sl_certified_spectrum`` otherwise; on either
-    path the count kappa = P + W must close, or ``ArithmeticError`` is
-    raised.  Every real eigenvalue but the W of negative T-type then has
-    sign type sgn(lam), so the sign claim beyond the box holds exactly when
-    each of the W lies within |lam| <= reHalfWidth + slack.  ``eigenvalues``
-    lists the non-positive type (a non-real one for its conjugate pair),
-    ``checks.spectrum`` the counts, the table both members of each pair;
-    the solver's diagnostics are left in ``report.diagnostics`` for the run
-    record.
+    The eigenvalues of non-positive type come from ``sl_certified_spectrum``
+    for every potential; on its certified path and on its dense fallback
+    the count kappa = P + W must close, or ``ArithmeticError`` is raised.
+    For an even potential the reflection x -> -x anticommutes with A and
+    commutes with T, so lam and -conj(lam) are both among the kappa, and
+    the table lists z, conj(z), -z and -conj(z).  Every real eigenvalue but
+    the W of negative T-type then has sign type sgn(lam), so the sign claim
+    beyond the box holds exactly when each of the W lies within
+    |lam| <= reHalfWidth + slack.  ``eigenvalues`` lists the non-positive
+    type (a non-real one for its conjugate pair), ``checks.spectrum`` the
+    counts, the table both members of each pair; the solver's diagnostics
+    are left in ``report.diagnostics`` for the run record.
     """
     q_norm = lp_norm(disc.potential, p)
     box = sl_box(p, q_norm)
     bst = bst_region(p, q_norm)
     slack = containment_slack(disc, max(1.0, box.re_half_width))
-    if disc.parity_symmetric:
-        spectrum = _from_all_eigenvalues(disc, "parity", sl_eigenvalues(disc))
-    else:
-        spectrum = sl_certified_spectrum(disc)
+    spectrum = sl_certified_spectrum(disc)
     kind = disc.potential.kind
     report = VerificationReport(
         instance={"potential": kind, "L": disc.L, "n": disc.n, "p": p,

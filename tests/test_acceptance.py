@@ -192,7 +192,6 @@ def test_criterion_06_geometry_identities():
             f"({undecided} boundary-close cases checked by margin size)")
 
 
-@pytest.mark.slow
 def test_criterion_07_sturm_liouville_sweep():
     t0 = time.time()
     failures = 0

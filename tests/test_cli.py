@@ -524,14 +524,14 @@ class TestSlCommand:
         assert report["checks"]["spectrum"]["path"] == "certified"
 
     def test_parity_memory_guard_exit_two(self, tmp_path):
-        # an even potential at n = 24000 would put B and B C, 2.3 GB, on
-        # the parity path; the guard refuses it before allocating
+        # an even potential at n = 24000 takes the certified path in O(n)
+        # memory, far below the eig guard's limit
         code, peak_mb, stderr = self._measured_sl_run(
             tmp_path, "--kind", "step", "--n", "24000")
-        assert code == 2, stderr
-        assert "parity eigenvalues at n = 24000" in stderr
+        assert code == 0, stderr
         assert peak_mb < 500
-        assert not (tmp_path / "sl.json").exists()
+        report = json.loads((tmp_path / "sl.json").read_text())
+        assert report["checks"]["spectrum"]["path"] == "certified"
 
     def test_short_table_row_exit_two(self, tmp_path, capsys):
         table = tmp_path / "q.csv"
@@ -596,10 +596,12 @@ class TestSlCommand:
 
     def test_eigensolver_failure_exit_four(self, tmp_path, monkeypatch,
                                            capsys):
-        # LinAlgError subclasses ValueError but is a numerical failure
-        def fail(disc, force_dense=False):
+        # LinAlgError subclasses ValueError but is a numerical failure; the
+        # dense fallback, forced, runs the failing eig
+        def fail(disc):
             raise np.linalg.LinAlgError("eigenvalues did not converge")
 
+        monkeypatch.setattr(sturm_liouville, "SL_MAX_ITERATIONS", 1)
         monkeypatch.setattr(sturm_liouville, "sl_eigenvalues", fail)
         code = run(["sl", "--kind", "step", "--depth", "5", "--p", "2",
                     "--L", "6", "--n", "64",

@@ -1,6 +1,6 @@
 """The README documents every named constant of the numerical modules,
-every constant it documents exists, the eig size caps it states are the
-ones the memory guard enforces, and the CLI flags it names are the
+every constant it documents exists, the dense eig size cap it states is
+the one the memory guard enforces, and the CLI flags it names are the
 parser's."""
 
 import argparse
@@ -48,24 +48,22 @@ def test_documented_constants_exist():
     assert not stale, f"README documents {stale}, which no module defines so"
 
 
-@pytest.mark.parametrize("path, bytes_per_n2, force_dense",
-                         [("parity", 4, False), ("dense", 16, True)])
-def test_documented_eig_size_caps(path, bytes_per_n2, force_dense):
-    # the largest n whose eig working set fits DENSE_EIG_MAX_BYTES is the
-    # cap README's bullet for that path states, and the next even n is
-    # refused by the guard before anything is allocated (an even step
-    # well takes the parity path unless force_dense)
-    cap = math.isqrt(sturm_liouville.DENSE_EIG_MAX_BYTES // bytes_per_n2)
+def test_documented_dense_eig_size_cap():
+    # the largest n whose dense eig working set, 16 n^2 bytes, fits
+    # DENSE_EIG_MAX_BYTES is the cap README's dense bullet states, and the
+    # next even n is refused by the guard before anything is allocated,
+    # for an even step well as for any other
+    cap = math.isqrt(sturm_liouville.DENSE_EIG_MAX_BYTES // 16)
     text = README.read_text(encoding="utf-8")
-    bullet = re.search(rf"^- \*\*{path}\*\* .*?(?=^- |^$)", text,
+    bullet = re.search(r"^- \*\*dense\*\* .*?(?=^- |^$)", text,
                        re.MULTILINE | re.DOTALL)
-    assert bullet, f"README has no {path} bullet"
-    assert f"`n` up to {cap})" in bullet.group(), (path, cap)
+    assert bullet, "README has no dense bullet"
+    assert f"`n` up to {cap})" in bullet.group(), cap
     n = cap + 2 - cap % 2  # the smallest even n above the cap
     disc = sturm_liouville.discretize(
         sturm_liouville.Potential(kind="step", depth=5.0), L=30.0, n=n)
-    with pytest.raises(ConfigError, match=f"{path} eigenvalues at n = {n} "):
-        sturm_liouville.sl_eigenvalues(disc, force_dense=force_dense)
+    with pytest.raises(ConfigError, match=f"dense eigenvalues at n = {n} "):
+        sturm_liouville.sl_eigenvalues(disc)
 
 
 def _parser_flags() -> set:

@@ -197,13 +197,24 @@ class TestDiscretize:
         with pytest.raises(ValueError):
             discretize(Potential(kind="step", depth=1.0), L=3.0, n=21)
 
-    def test_parity_matches_dense(self):
+    def test_parity_matches_dense(self, monkeypatch):
+        # an even well's forced dense fallback gives the certified report:
+        # the same counts, sign checks and table, only the path differs
         disc = discretize(Potential(kind="step", depth=5.0), L=8.0, n=64)
-        assert disc.parity_symmetric
-        fast = np.sort_complex(sl_eigenvalues(disc))
-        dense = np.sort_complex(sl_eigenvalues(disc, force_dense=True))
-        scale = np.max(np.abs(dense))
-        assert np.max(np.abs(fast - dense)) < 1e-10 * scale
+        certified = containment_report(disc, 2.0)
+        assert certified.checks["spectrum"]["path"] == "certified"
+        monkeypatch.setattr(sturm_liouville, "SL_MAX_ITERATIONS", 1)
+        dense = containment_report(disc, 2.0)
+        assert dense.diagnostics["fallbackReason"].startswith("not converged")
+        assert dense.checks["spectrum"] == dict(certified.checks["spectrum"],
+                                                path="dense")
+        assert dense.checks["signType"] == certified.checks["signType"]
+        assert certified.checks["spectrum"]["nonrealPairs"] > 0
+        scale = max(abs(complex(r["re"], r["im"]))
+                    for r in certified.checks["table"])
+        for got, want in zip(_nonreal(dense), _nonreal(certified)):
+            assert abs(got - want) < 1e-10 * scale
+        assert dense.verified and certified.verified
 
     def test_even_potential_quadruple_symmetry(self):
         disc = discretize(Potential(kind="gaussian", depth=12.0), L=12.0, n=300)
@@ -274,16 +285,17 @@ class TestNonrealSpectrum:
         assert _count_closes(report)
 
     def test_unpaired_eigenvalue_raises(self, monkeypatch):
-        # dropping a member with Im > 0 leaves P + W one short of kappa:
-        # containment_report raises, as the CLI's numerical failure (exit 4)
+        # dropping a member with Im > 0 from the dense fallback's eig leaves
+        # P + W one short of kappa: containment_report raises, as the CLI's
+        # numerical failure (exit 4)
         disc = discretize(Potential(kind="step", depth=5.0), L=12.0, n=400)
         evals = sl_eigenvalues(disc)
         lone = np.delete(evals, int(np.argmax(evals.imag)))
         kappa = containment_report(disc, 2.0).checks["spectrum"]["kappa"]
-        monkeypatch.setattr(sturm_liouville, "sl_eigenvalues",
-                            lambda d, force_dense=False: lone)
+        monkeypatch.setattr(sturm_liouville, "SL_MAX_ITERATIONS", 1)
+        monkeypatch.setattr(sturm_liouville, "sl_eigenvalues", lambda d: lone)
         with pytest.raises(ArithmeticError,
-                           match=rf"count does not close on the parity path: "
+                           match=rf"count does not close on the dense path: "
                                  rf"P \+ W = {kappa - 1} \+ 0, kappa = {kappa}"):
             containment_report(disc, 2.0)
 
@@ -301,7 +313,6 @@ class TestNonrealSpectrum:
         qs = -3.0 * np.exp(-((xs - 0.6) ** 2))  # off-center: parity broken
         pot = Potential(kind="tabulated", table=(xs, qs))
         disc = discretize(pot, L=8.0, n=80)
-        assert not disc.parity_symmetric
         evals = np.sort_complex(sl_eigenvalues(disc))
         dense = np.sort_complex(np.linalg.eigvals(disc.A))
         np.testing.assert_allclose(evals, dense, atol=1e-10)
@@ -311,47 +322,24 @@ class TestNonrealSpectrum:
             assert np.min(np.abs(evals - np.conj(lam))) < 1e-8 * scale
 
     def test_parity_memory_guard(self, monkeypatch):
-        # B and B C: 4 n^2 bytes
+        # an even well needs no eig on the certified path; its dense
+        # fallback holds A and LAPACK's copy, 16 n^2 bytes, and is refused
+        # above DENSE_EIG_MAX_BYTES before it starts
         disc = discretize(Potential(kind="step", depth=5.0), L=14.0, n=400)
-        assert disc.parity_symmetric
         monkeypatch.setattr(sturm_liouville, "DENSE_EIG_MAX_BYTES",
-                            4 * 400**2 - 1)
+                            16 * 400**2 - 1)
         with pytest.raises(ConfigError,
-                           match="parity eigenvalues at n = 400 need about 1 MB"):
+                           match="dense eigenvalues at n = 400 need about 3 MB"):
             sl_eigenvalues(disc)
+        assert containment_report(disc, 2.0).checks["spectrum"]["path"] == (
+            "certified")
+        monkeypatch.setattr(sturm_liouville, "SL_MAX_ITERATIONS", 1)
         with pytest.raises(ConfigError, match="DENSE_EIG_MAX_BYTES"):
             containment_report(disc, 2.0)
-        monkeypatch.setattr(sturm_liouville, "DENSE_EIG_MAX_BYTES", 4 * 400**2)
+        monkeypatch.setattr(sturm_liouville, "DENSE_EIG_MAX_BYTES", 16 * 400**2)
         assert sl_eigenvalues(disc).size == 400
-
-    @pytest.mark.parametrize("n", [16, 64, 700, 2050])
-    @pytest.mark.parametrize("kind", ["step", "gaussian", "lorentzian"])
-    def test_parity_matches_two_block_product(self, kind, n):
-        # oracle: the eig of B @ C with both blocks built in full; the
-        # one-block product must give the same bits (n = 2050: m is odd)
-        disc = discretize(Potential(kind=kind, depth=5.0), L=14.0, n=n)
-        m = n // 2
-        main, upper, lower = disc.diagonals
-        b_block = np.diag(main[:m]) + np.diag(upper[:m - 1], 1) + np.diag(
-            lower[:m - 1], -1)
-        c_block = b_block.copy()
-        b_block[m - 1, m - 1] -= upper[m - 1]
-        c_block[m - 1, m - 1] += upper[m - 1]
-        roots = np.sqrt(np.linalg.eigvals(b_block @ c_block).astype(complex))
-        np.testing.assert_array_equal(sturm_liouville._parity_eigenvalues(disc),
-                                      np.concatenate([roots, -roots]))
-
-    def test_parity_working_set_is_two_blocks(self):
-        # B and B C, 4 n^2 bytes; a second full block would add 2 n^2
-        n = 1000
-        disc = discretize(Potential(kind="gaussian", depth=5.0), L=14.0, n=n)
-        tracemalloc.start()
-        try:
-            sturm_liouville._parity_eigenvalues(disc)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 5 * n**2, peak
+        assert containment_report(disc, 2.0).checks["spectrum"]["path"] == (
+            "dense")
 
 
 class TestSignTypes:
@@ -385,6 +373,35 @@ def _off_centre_well(centre, depth):
     xs = np.linspace(-4.0, 4.0, 81)
     return Potential(kind="tabulated",
                      table=(xs, -depth * np.exp(-((xs - centre) ** 2))))
+
+
+LONG_DOUBLE = pytest.mark.skipif(
+    np.finfo(np.longdouble).eps == np.finfo(float).eps,
+    reason="np.longdouble is double here")
+
+
+def _newton_roots(disc, start):
+    """The roots of det(A - z) that Newton's method reaches from ``start``.
+    f'/f = sum r_k'/r_k over the LDU pivots
+    r_k = (a_k - z) - b_{k-1} c_{k-1} / r_{k-1}, all in np.clongdouble."""
+    main, upper, lower = (d.astype(np.longdouble) for d in disc.diagonals)
+    products = upper * lower
+    z = np.asarray(start).astype(np.clongdouble)
+    for _ in range(4):
+        pivot = main[0] - z
+        d_pivot = -np.ones_like(z)
+        log_derivative = d_pivot / pivot
+        for a, bc in zip(main[1:], products):
+            ratio = bc / pivot
+            d_pivot = -1 + ratio * d_pivot / pivot
+            pivot = (a - z) - ratio
+            log_derivative += d_pivot / pivot
+        step = 1 / log_derivative
+        z -= step
+        if np.all(np.abs(step) <= 1e-15 * np.abs(z)):
+            break
+    assert np.all(np.abs(step) <= 1e-15 * np.abs(z)), "Newton stalled"
+    return z.astype(complex)
 
 
 def _dense_oracle(disc, tol=1e-8):
@@ -424,37 +441,57 @@ class TestCertifiedSpectrum:
         np.testing.assert_array_equal(spec.jumps, neg_jumps)
         assert spec.residual <= sturm_liouville.SL_RESIDUAL_TOL
 
-    @pytest.mark.skipif(np.finfo(np.longdouble).eps == np.finfo(float).eps,
-                        reason="np.longdouble is double here")
+    @LONG_DOUBLE
     def test_nonreal_eigenvalues_match_long_double_newton(self):
         # each non-real eigenvalue of a depth-10 step well at n = 4000 lies
         # within 1e-12 max(|z|, 1) of the root of det(A - z) that Newton's
-        # method finds from it.  f'/f = sum r_k'/r_k over the LDU pivots
-        # r_k = (a_k - z) - b_{k-1} c_{k-1} / r_{k-1}, all in np.clongdouble
+        # method finds from it
         disc = discretize(Potential(kind="step", depth=10.0), L=30.0, n=4000)
         spec = sl_certified_spectrum(disc)
         assert spec.path == "certified", spec.reason
-        main, upper, lower = (d.astype(np.longdouble) for d in disc.diagonals)
-        products = upper * lower
-        z = spec.eigenvalues[:spec.nonreal_pairs].astype(np.clongdouble)
-        assert z.size == 3
-        for _ in range(4):
-            pivot = main[0] - z
-            d_pivot = -np.ones_like(z)
-            log_derivative = d_pivot / pivot
-            for a, bc in zip(main[1:], products):
-                ratio = bc / pivot
-                d_pivot = -1 + ratio * d_pivot / pivot
-                pivot = (a - z) - ratio
-                log_derivative += d_pivot / pivot
-            step = 1 / log_derivative
-            z -= step
-            if np.all(np.abs(step) <= 1e-15 * np.abs(z)):
-                break
-        assert np.all(np.abs(step) <= 1e-15 * np.abs(z)), "Newton stalled"
-        root = z.astype(complex)
-        error = np.abs(spec.eigenvalues[:spec.nonreal_pairs] - root)
+        found = spec.eigenvalues[:spec.nonreal_pairs]
+        assert found.size == 3
+        root = _newton_roots(disc, found)
+        error = np.abs(found - root)
         assert np.all(error <= 1e-12 * np.maximum(np.abs(root), 1.0)), error
+
+    @LONG_DOUBLE
+    def test_report_near_zero_eigenvalue_is_the_newton_root(self):
+        # the report's eigenvalue nearest 0 of the depth-10 step well lies
+        # within 1e-12 of the long-double Newton root
+        disc = discretize(Potential(kind="step", depth=10.0), L=30.0, n=4000)
+        report = containment_report(disc, 2.0)
+        assert report.checks["spectrum"]["path"] == "certified"
+        z = min(_nonreal(report), key=abs)
+        assert abs(z) < 0.05
+        root = _newton_roots(disc, np.array([z]))[0]
+        assert abs(z - root) <= 1e-12, abs(z - root)
+
+    def test_step_sweep_closes_on_the_certified_path(self):
+        # every depth of acceptance criterion 07, and its refinement case,
+        # closes on the certified path with no dense fallback
+        cases = [(float(depth), 30.0, 4000) for depth in range(1, 41)]
+        for depth, length, n in cases + [(5.0, 45.0, 9000)]:
+            disc = discretize(Potential(kind="step", depth=depth), L=length,
+                              n=n)
+            report = containment_report(disc, 2.0)
+            assert report.checks["spectrum"]["path"] == "certified", depth
+            assert report.diagnostics["fallbackReason"] is None, depth
+            assert report.verified, depth
+
+    def test_even_well_runs_in_linear_memory(self):
+        # a dense eig would hold 16 n^2 bytes (6.4 GB here); the certified
+        # path peaks near 1.7 kB a grid row
+        n = 20000
+        disc = discretize(Potential(kind="step", depth=5.0), L=30.0, n=n)
+        tracemalloc.start()
+        try:
+            report = containment_report(disc, 2.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.checks["spectrum"]["path"] == "certified"
+        assert peak < 5000 * n, peak
 
     def test_negative_type_real_eigenvalue(self):
         # the off-centre well deep enough for W = 1: a real eigenvalue
@@ -499,8 +536,8 @@ class TestCertifiedSpectrum:
 
     def test_singular_t_is_refused(self, monkeypatch):
         # a pivot of the count at 0 below pivmin: kappa cannot certify the
-        # split, so the certified path raises without a dense fallback, and
-        # the parity path raises too
+        # split, so the certified path raises without a dense fallback, for
+        # an even well too, even with the fallback forced
         counts = sturm_liouville._sturm_counts
         monkeypatch.setattr(sturm_liouville, "_sturm_counts",
                             lambda d, pts: (counts(d, pts)[0],
@@ -510,8 +547,9 @@ class TestCertifiedSpectrum:
                            match="T is singular.* on the certified path"):
             sl_certified_spectrum(disc)
         even = discretize(Potential(kind="step", depth=5.0), L=12.0, n=400)
+        monkeypatch.setattr(sturm_liouville, "SL_MAX_ITERATIONS", 1)
         with pytest.raises(ArithmeticError,
-                           match="T is singular.* on the parity path"):
+                           match="T is singular.* on the certified path"):
             containment_report(even, 2.0)
 
     def test_dense_memory_guard(self, monkeypatch):
@@ -519,7 +557,7 @@ class TestCertifiedSpectrum:
         monkeypatch.setattr(sturm_liouville, "DENSE_EIG_MAX_BYTES",
                             16 * 400**2 - 1)
         with pytest.raises(ConfigError, match="n = 400 need about 3 MB"):
-            sl_eigenvalues(disc, force_dense=True)
+            sl_eigenvalues(disc)
         # the fallback is guarded too
         monkeypatch.setattr(sturm_liouville, "SL_MAX_ITERATIONS", 1)
         with pytest.raises(ConfigError, match="n = 400"):
@@ -545,9 +583,12 @@ class TestCertifiedSpectrum:
         assert dense.verified and certified.verified
 
     def test_even_well_reports_the_parity_count(self):
+        # an even well closes its count on the certified path
         disc = discretize(Potential(kind="step", depth=5.0), L=12.0, n=400)
-        spectrum = containment_report(disc, 2.0).checks["spectrum"]
-        assert spectrum["path"] == "parity"
+        report = containment_report(disc, 2.0)
+        spectrum = report.checks["spectrum"]
+        assert spectrum["path"] == "certified"
+        assert report.diagnostics["fallbackReason"] is None
         assert spectrum["kappa"] == (spectrum["nonrealPairs"]
                                      + spectrum["negativeTypeReal"]) > 0
 
@@ -625,18 +666,21 @@ class TestContainmentReport:
         real = np.flatnonzero(np.abs(evals.imag) <= 1e-8 * (1 + np.abs(evals)))
         dropped = real[np.argsort(evals[real].real)[-2]]
         assert evals[dropped].real > full.bounds["reHalfWidth"] + 1.0
+        # the dense fallback, forced, reduces the eigenvalues left
+        monkeypatch.setattr(sturm_liouville, "SL_MAX_ITERATIONS", 1)
         monkeypatch.setattr(sturm_liouville, "sl_eigenvalues",
                             lambda disc: np.delete(evals, dropped))
         rep = containment_report(disc, 2.0)
         assert not rep.indeterminate
         assert rep.checks["signType"] == dict(full.checks["signType"],
                                               indeterminate=0)
-        assert rep.checks["spectrum"] == full.checks["spectrum"]
+        assert rep.checks["spectrum"] == dict(full.checks["spectrum"],
+                                              path="dense")
         assert rep.verified
 
     @pytest.mark.parametrize("depth", [1.0, 5.0, 17.0, 40.0])
     def test_sign_checks_ran(self, depth):
-        # the parity path tests the W real eigenvalues of negative type,
+        # the report tests the W real eigenvalues of negative type,
         # which kappa = P + W certifies; every other real one beyond the
         # box has sign type sgn(lam), as its own inertia jump confirms
         disc = discretize(Potential(kind="step", depth=depth), L=14.0, n=700)
