@@ -8,6 +8,7 @@ import math
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from kreinspec import cli, geometry, operators, reporting, sturm_liouville, verification
@@ -48,21 +49,28 @@ def test_documented_constants_exist():
     assert not stale, f"README documents {stale}, which no module defines so"
 
 
-def test_documented_dense_eig_size_cap():
-    # the largest n whose dense eig working set, 16 n^2 bytes, fits
-    # DENSE_EIG_MAX_BYTES is the cap README's dense bullet states, and the
-    # next even n is refused by the guard before anything is allocated,
-    # for an even step well as for any other
-    cap = math.isqrt(sturm_liouville.DENSE_EIG_MAX_BYTES // 16)
+@pytest.mark.parametrize("path, bytes_per_n2, even_well",
+                         [("dense", 16, True), ("dense", 16, False)])
+def test_documented_eig_size_caps(path, bytes_per_n2, even_well):
+    # the largest n whose eig working set fits DENSE_EIG_MAX_BYTES is the
+    # cap README's bullet for that path states, and the next even n is
+    # refused by the guard before anything is allocated, for an even step
+    # well as for an off-centre one
+    cap = math.isqrt(sturm_liouville.DENSE_EIG_MAX_BYTES // bytes_per_n2)
     text = README.read_text(encoding="utf-8")
-    bullet = re.search(r"^- \*\*dense\*\* .*?(?=^- |^$)", text,
+    bullet = re.search(rf"^- \*\*{path}\*\* .*?(?=^- |^$)", text,
                        re.MULTILINE | re.DOTALL)
-    assert bullet, "README has no dense bullet"
-    assert f"`n` up to {cap})" in bullet.group(), cap
+    assert bullet, f"README has no {path} bullet"
+    assert f"`n` up to {cap})" in bullet.group(), (path, cap)
     n = cap + 2 - cap % 2  # the smallest even n above the cap
-    disc = sturm_liouville.discretize(
-        sturm_liouville.Potential(kind="step", depth=5.0), L=30.0, n=n)
-    with pytest.raises(ConfigError, match=f"dense eigenvalues at n = {n} "):
+    if even_well:
+        pot = sturm_liouville.Potential(kind="step", depth=5.0)
+    else:
+        xs = np.linspace(-2.0, 2.0, 31)
+        pot = sturm_liouville.Potential(
+            kind="tabulated", table=(xs, -3.0 * np.exp(-(xs - 0.6) ** 2)))
+    disc = sturm_liouville.discretize(pot, L=30.0, n=n)
+    with pytest.raises(ConfigError, match=f"{path} eigenvalues at n = {n} "):
         sturm_liouville.sl_eigenvalues(disc)
 
 

@@ -341,6 +341,38 @@ class TestNonrealSpectrum:
         assert containment_report(disc, 2.0).checks["spectrum"]["path"] == (
             "dense")
 
+    @pytest.mark.parametrize("n", [16, 64, 700, 2050])
+    @pytest.mark.parametrize("kind", ["step", "gaussian", "lorentzian"])
+    def test_parity_matches_two_block_product(self, kind, n):
+        # oracle: an even well's A splits under the reflection into the
+        # half-size blocks B and C, and its eigenvalues are +-sqrt(eig(B C));
+        # the certified path's non-real ones with Im > 0 are those roots, up
+        # to the rounding of eig(B C), eps |B| |C|, halved by the square
+        # root's derivative 1 / (2 |w|) (n = 2050: m is odd)
+        disc = discretize(Potential(kind=kind, depth=5.0), L=14.0, n=n)
+        m = n // 2
+        main, upper, lower = disc.diagonals
+        b_block = np.diag(main[:m]) + np.diag(upper[:m - 1], 1) + np.diag(
+            lower[:m - 1], -1)
+        c_block = b_block.copy()
+        b_block[m - 1, m - 1] -= upper[m - 1]
+        c_block[m - 1, m - 1] += upper[m - 1]
+        roots = np.sqrt(np.linalg.eigvals(b_block @ c_block).astype(complex))
+        roots = np.concatenate([roots, -roots])
+        nonreal = np.abs(roots.imag) > 1e-8 * (1.0 + np.abs(roots))
+        oracle = roots[nonreal & (roots.imag > 0)]
+        spec = sl_certified_spectrum(disc)
+        assert spec.path == "certified", spec.reason
+        assert spec.nonreal_pairs == oracle.size
+        rounding = (np.finfo(float).eps * np.linalg.norm(b_block, 1)
+                    * np.linalg.norm(c_block, 1))
+        for w in oracle:  # sorting would not pair values with Re ~ 0
+            assert np.min(np.abs(spec.eigenvalues[:spec.nonreal_pairs] - w)) <= (
+                1e-10 * abs(w) + rounding / abs(w))
+        real = np.sort(roots[~nonreal].real)
+        for lam in spec.eigenvalues[spec.nonreal_pairs:].real:
+            assert np.min(np.abs(real - lam)) <= 1e-10 * max(abs(lam), 1.0)
+
 
 class TestSignTypes:
     @pytest.mark.parametrize("pot", [
