@@ -47,6 +47,7 @@ from .sturm_liouville import (
     sl_constants,
     sl_eigenvalues,
     tau0_hilbert_form,
+    tau0_profile_quotient,
 )
 from .verification import (
     VerificationReport,

@@ -7,6 +7,7 @@ All subcommands are deterministic for fixed flags and seeds.
 """
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -21,9 +22,9 @@ from .operators import KreinPerturbationProblem
 from .reporting import COMMAND_SCHEMAS, ConfigError, RunConfig, RunRecord, \
     artifact_version, finalize_record, matrix_from_json, normalize_config, \
     read_config, write_csv, write_json, write_report
-from .sturm_liouville import Potential, TAU0_UPPER_BOUND, TAU0_UPPER_TOL, \
-    bst_region, containment_report, discretize, extremizer_probe, \
-    guard_eig_memory, indicator_probe, sl_constants, tau0_hilbert_form
+from .sturm_liouville import Potential, TAU0_UPPER_BOUND, bst_region, \
+    containment_report, discretize, guard_eig_memory, sl_constants, \
+    tau0_profile_quotient
 from .verification import DEFAULT_B_GRID, HypothesisUnmetError, random_block_operator, \
     random_krein_problem, trial_seeds, verify_block_theorem, verify_tmain
 
@@ -284,15 +285,15 @@ def cmd_tau0(args) -> int:
     p = config.params
     record = _record_for(args, config)
     if p["profile"] == "indicator":
-        f1, f2, support = indicator_probe()
+        x_max = 2.0  # the window [1, 2]
         reference = 1.0 + (2.0 / math.pi) * (10.0 * math.log(2.0)
                                              - 6.0 * math.log(3.0))
     else:
-        f1, f2, support = extremizer_probe(p["X"])
+        x_max = float(p["X"])
         reference = None
-    value = tau0_hilbert_form(f1, f2, support)
-    upper_ok = value <= TAU0_UPPER_BOUND + TAU0_UPPER_TOL
-    payload = {"profile": p["profile"], "X": support[1], "quotient": value,
+    value = tau0_profile_quotient(p["profile"], x_max)
+    upper_ok = value <= TAU0_UPPER_BOUND
+    payload = {"profile": p["profile"], "X": x_max, "quotient": value,
                "upperBound": TAU0_UPPER_BOUND, "upperBoundSatisfied": upper_ok,
                "reference": reference}
     report_path = Path(p["out"])
@@ -303,7 +304,10 @@ def cmd_tau0(args) -> int:
     return EXIT_OK if upper_ok else EXIT_VERIFICATION
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The ``kreinspec`` parser, built once per process and reused by every
+    ``main`` call: a parse leaves no state in it."""
     parser = argparse.ArgumentParser(
         prog="kreinspec",
         description="Spectral-enclosure toolkit: region data, block-matrix "
@@ -334,8 +338,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except ConfigError as exc:

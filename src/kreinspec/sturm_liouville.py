@@ -40,10 +40,10 @@ __all__ = [
     "containment_report",
     "lemma_ls_check",
     "tau0_hilbert_form",
+    "tau0_profile_quotient",
     "indicator_probe",
     "extremizer_probe",
     "TAU0_UPPER_BOUND",
-    "TAU0_UPPER_TOL",
     "LEMMA_SLACK",
     "LEMMA_QUAD_TOL",
     "SL_RESIDUAL_TOL",
@@ -111,11 +111,9 @@ class QuadratureError(ArithmeticError):
 
 
 SQRT2 = math.sqrt(2.0)
-# sup of the Rayleigh quotient of the involution form: 3 + 2 sqrt(2)
+# sup of the Rayleigh quotient of the involution form: 3 + 2 sqrt(2), the
+# top eigenvalue of its Mellin symbol at t = 0 (tau0_profile_quotient)
 TAU0_UPPER_BOUND = 3.0 + 2.0 * SQRT2
-# tau0 reports the bound satisfied when its quotient is at most TAU0_UPPER_BOUND
-# + TAU0_UPPER_TOL, an absolute allowance for tau0_hilbert_form's quadrature.
-TAU0_UPPER_TOL = 1e-4
 
 # Decision tolerances of the pipeline (README, "Scope notes").
 # The multiplier inequality holds when lhs <= rhs (1 + LEMMA_SLACK).
@@ -145,7 +143,8 @@ SL_BRACKET_WIDTH = 1e-10
 SL_MAX_ITERATIONS = 30
 # containment_slack's floor; logarithmic panels per decade of
 # tau0_hilbert_form's quadrature, which stops when two passes differ by at
-# most TAU0_REL_TOL max(|quotient|, 1).
+# most TAU0_REL_TOL max(|quotient|, 1); tau0_profile_quotient's integral
+# fails when its error estimate exceeds TAU0_REL_TOL times its value.
 SL_SLACK_FLOOR = 1e-6
 TAU0_PANELS_PER_DECADE = 8
 TAU0_REL_TOL = 1e-6
@@ -1005,3 +1004,63 @@ def extremizer_probe(x_max: float = 1e6) -> tuple:
     f1 = lambda x: 1.0 / np.sqrt(np.asarray(x, dtype=float))
     f2 = lambda x: -1.0 / np.sqrt(np.asarray(x, dtype=float))
     return (f1, f2, (1.0, float(x_max)))
+
+
+def _log_kernels(v):
+    """The involution form's kernels in log variables at v >= 0:
+    K1(v) = 1/(2 cosh(v/2)) and K2(v) = cosh(v/2)/cosh(v), written in
+    e^(-v/2) so that no term overflows."""
+    e = np.exp(-0.5 * v)
+    e2 = e * e
+    return e / (1.0 + e2), e * (1.0 + e2) / (1.0 + e2 * e2)
+
+
+def tau0_profile_quotient(profile: str, x_max: float = 1e6) -> float:
+    """Rayleigh quotient of the involution form on a named probe, the
+    ``indicator`` (``indicator_probe``; ``x_max`` unused) or the
+    ``extremizer`` on [1, x_max] (``extremizer_probe``), as one 1-D integral.
+
+    With x = e^s and g_i(s) = e^(s/2) f_i(e^s), both kernels of
+    ``tau0_hilbert_form`` are even functions K1, K2 of v = s - u
+    (``_log_kernels``), so with R_ij the autocorrelation of g_i and g_j
+
+        q = 1 + (2/pi) int [(R11 + R22) K1 - 2 Re R12 K2] dv / N,
+
+    N = |g1|^2 + |g2|^2, the integral over the line.
+    Both probes have a closed-form R on [0, l]: the extremizer has
+    g1 = -g2 = 1 on [0, l], l = ln x_max, so R11 = R22 = -R12 = l - |v| and
+    q = 1 + (4/(pi l)) int_0^l (l - v)(K1 + K2) dv; the indicator has
+    g1 = e^(s/2) on [0, ln 2], g2 = 0 and |g1|^2 = 1, so
+    R11 = 2 e^(-v/2) - e^(v/2).  The integrand is smooth and decays like
+    e^(-v/2); ``quad`` evaluates it once, and an error estimate above
+    TAU0_REL_TOL times the value raises QuadratureError.
+
+    The Fourier transforms of K1 and K2 are k1(t) = pi / cosh(pi t) and
+    k2(t) = sqrt(2) pi cosh(pi t/2) / cosh(pi t), so the form is
+    multiplication by I + (2/pi) [[k1, -k2], [-k2, k1]] in the Mellin
+    variable t.  Its top eigenvalue 1 + (2/pi)(k1 + k2) decreases in |t|
+    from TAU0_UPPER_BOUND at t = 0, and both probes stay strictly below it.
+    """
+    if profile == "indicator":
+        ell, scale = math.log(2.0), 4.0 / math.pi
+
+        def integrand(v):
+            r11 = 2.0 * np.exp(-0.5 * v) - np.exp(0.5 * v)
+            return r11 * _log_kernels(v)[0]
+    elif profile == "extremizer":
+        if not 1.0 < x_max < math.inf:
+            raise ValueError("x_max must be finite and exceed 1")
+        ell = math.log(x_max)
+        scale = 4.0 / (math.pi * ell)
+
+        def integrand(v):
+            k1, k2 = _log_kernels(v)
+            return (ell - v) * (k1 + k2)
+    else:
+        raise ValueError(f"unknown tau0 profile {profile!r}")
+    value, error = quad(integrand, 0.0, ell)
+    if not error <= TAU0_REL_TOL * abs(value):
+        raise QuadratureError(
+            f"tau0 {profile} integral error estimate {error:.3g} exceeds "
+            f"TAU0_REL_TOL of its value {value:.6g}")
+    return 1.0 + scale * value

@@ -705,6 +705,71 @@ class TestRemovedSettings:
         assert not (tmp_path / "r.json").exists()
 
 
+class TestParserReuse:
+    """main() parses with one parser per process; no parse leaves state in
+    it, so every run of a sequence writes and prints what it writes and
+    prints in a fresh process."""
+
+    HULL = ["region", "--kind", "hull", "--a", "3", "--b", "0.9",
+            "--resolution", "64", "--out", "hull.csv"]
+
+    @staticmethod
+    def _outputs(directory: Path) -> dict:
+        # the run record holds timings; every other file is deterministic
+        return {path.name: path.read_bytes()
+                for path in sorted(directory.iterdir())
+                if path.name != "run_record.json"}
+
+    def _fresh(self, directory: Path, argv) -> tuple:
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        done = subprocess.run([sys.executable, "-m", "kreinspec.cli", *argv],
+                              cwd=directory, capture_output=True, timeout=120,
+                              env=dict(os.environ, PYTHONPATH=src))
+        return done.returncode, done.stdout, self._outputs(directory)
+
+    def _in_process(self, directory: Path, argv, capsysbinary) -> tuple:
+        capsysbinary.readouterr()
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        return code, capsysbinary.readouterr().out, self._outputs(directory)
+
+    def _sequence(self, tmp_path, monkeypatch, capsysbinary, runs):
+        config = {"kind": "hull", "a": 3.0, "b": 0.9, "resolution": 64,
+                  "overlay_prior": True}
+        for index, argv in enumerate(runs):
+            ours, fresh = tmp_path / f"ours{index}", tmp_path / f"fresh{index}"
+            for directory in (ours, fresh):
+                directory.mkdir()
+                (directory / "cfg.json").write_text(json.dumps(config))
+            monkeypatch.chdir(ours)
+            got = self._in_process(ours, argv, capsysbinary)
+            assert got == self._fresh(fresh, argv), argv
+
+    def test_boolean_flag_does_not_stick(self, tmp_path, monkeypatch,
+                                         capsysbinary):
+        self._sequence(tmp_path, monkeypatch, capsysbinary,
+                       [self.HULL + ["--overlay-prior"], self.HULL])
+        assert not (tmp_path / "ours1" / "hull_prior.csv").exists()
+
+    def test_config_does_not_stick(self, tmp_path, monkeypatch, capsysbinary):
+        self._sequence(tmp_path, monkeypatch, capsysbinary,
+                       [["region", "--config", "cfg.json", "--out", "hull.csv"],
+                        self.HULL,
+                        ["tau0", "--profile", "extremizer", "--X", "1e4",
+                         "--out", "t.json"],
+                        ["tau0", "--out", "t.json"]])
+        assert (tmp_path / "ours0" / "hull_prior.csv").exists()
+        assert not (tmp_path / "ours1" / "hull_prior.csv").exists()
+        assert json.loads((tmp_path / "ours3" / "t.json").read_text())[
+            "profile"] == "indicator"
+
+    def test_version_after_a_parse(self, tmp_path, monkeypatch, capsysbinary):
+        self._sequence(tmp_path, monkeypatch, capsysbinary,
+                       [self.HULL, ["--version"]])
+
+
 class TestTau0Command:
     def test_indicator_profile(self, tmp_path):
         report = tmp_path / "tau0.json"

@@ -31,6 +31,7 @@ from kreinspec.sturm_liouville import (
     sl_eigenvalues,
     sl_sign_types,
     tau0_hilbert_form,
+    tau0_profile_quotient,
 )
 
 SQRT2 = math.sqrt(2.0)
@@ -1101,6 +1102,79 @@ class TestTau0HilbertForm:
             tau0_hilbert_form(lambda x: np.zeros_like(x), None, (1.0, 2.0))
 
 
+class TestMellinSymbol:
+    """The bound TAU0_UPPER_BOUND derived from the form's symbol."""
+
+    @staticmethod
+    def symbols(t):
+        k1 = math.pi / math.cosh(math.pi * t)
+        k2 = SQRT2 * math.pi * math.cosh(math.pi * t / 2) / math.cosh(math.pi * t)
+        return k1, k2
+
+    @pytest.mark.parametrize("t", [0.0, 0.3, 1.0])
+    def test_symbols_are_the_kernels_transforms(self, t):
+        # k(t) = 2 int_0^inf K(v) cos(t v) dv for the even K; past v = 90
+        # both kernels are below 2 e^-45
+        for index, symbol in enumerate(self.symbols(t)):
+            value, error = sturm_liouville.quad(
+                lambda v: 2.0 * sturm_liouville._log_kernels(v)[index]
+                * np.cos(t * v), 0.0, 90.0)
+            assert error < 1e-13
+            assert value == pytest.approx(symbol, abs=1e-12), (index, t)
+
+    def test_top_eigenvalue_peaks_at_the_bound(self):
+        ts = np.linspace(0.0, 4.0, 401)
+        tops = []
+        for t in ts:
+            k1, k2 = self.symbols(t)
+            symbol = np.eye(2) + (2 / math.pi) * np.array([[k1, -k2], [-k2, k1]])
+            tops.append(1 + (2 / math.pi) * (k1 + k2))
+            assert np.linalg.eigvalsh(symbol)[-1] == pytest.approx(tops[-1],
+                                                                   rel=1e-14)
+        assert np.all(np.diff(tops) < 0)  # decreasing in |t|, even in t
+        assert tops[0] == TAU0_UPPER_BOUND  # t = 0
+
+
+class TestTau0ProfileQuotient:
+    @pytest.mark.parametrize("x_max", [1e2, 1e3, 1e4, 1e6, 1e12])
+    def test_matches_the_2d_rule(self, x_max):
+        assert tau0_profile_quotient("extremizer", x_max) == pytest.approx(
+            tau0_hilbert_form(*extremizer_probe(x_max)), rel=1e-10, abs=0)
+
+    def test_indicator_closed_form(self):
+        value = tau0_profile_quotient("indicator")
+        expected = 1 + (2 / math.pi) * (10 * math.log(2) - 6 * math.log(3))
+        assert value == pytest.approx(expected, rel=0, abs=1e-15)
+        assert value == pytest.approx(tau0_hilbert_form(*indicator_probe()),
+                                      rel=1e-10, abs=0)
+
+    def test_huge_window_stays_below_the_bound(self):
+        value = tau0_profile_quotient("extremizer", 1e300)
+        assert math.isfinite(value)
+        assert TAU0_UPPER_BOUND - value > 1.4e-2
+        assert value > tau0_profile_quotient("extremizer", 1e100)
+
+    def test_dropping_k2_leaves_the_oracle(self, monkeypatch):
+        # negative control: the oracle comparison sees a missing kernel
+        kernels = sturm_liouville._log_kernels
+        monkeypatch.setattr(sturm_liouville, "_log_kernels",
+                            lambda v: (kernels(v)[0], 0.0 * v))
+        oracle = tau0_hilbert_form(*extremizer_probe(1e6))
+        assert abs(tau0_profile_quotient("extremizer", 1e6) - oracle) > 1.0
+
+    def test_unreachable_tolerance_raises(self, monkeypatch):
+        monkeypatch.setattr(sturm_liouville, "TAU0_REL_TOL", 1e-300)
+        with pytest.raises(sturm_liouville.QuadratureError):
+            tau0_profile_quotient("extremizer", 1e2)
+
+    @pytest.mark.parametrize("profile, x_max", [
+        ("extremizer", 1.0), ("extremizer", math.inf), ("extremizer", math.nan),
+        ("decaying", 1e6)])
+    def test_bad_input_rejected(self, profile, x_max):
+        with pytest.raises(ValueError):
+            tau0_profile_quotient(profile, x_max)
+
+
 class TestLazyImports:
     def test_import_loads_no_quadrature_module(self):
         # scipy.integrate, scipy.special, scipy.linalg and mpmath load on
@@ -1113,6 +1187,21 @@ class TestLazyImports:
                               text=True, timeout=120, check=True,
                               env=dict(os.environ, PYTHONPATH=src))
         assert done.stdout.strip() == "[]"
+
+    def test_tau0_command_loads_no_scipy(self, tmp_path):
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        probe = ("import sys\n"
+                 "from kreinspec.cli import main\n"
+                 "for argv in (['tau0', '--out', 'i.json'],\n"
+                 "             ['tau0', '--profile', 'extremizer', '--X', '1e6',\n"
+                 "              '--out', 'e.json']):\n"
+                 "    assert main(argv) == 0\n"
+                 "print(sorted(name for name in sys.modules\n"
+                 "             if name.split('.')[0] == 'scipy'))\n")
+        done = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                              text=True, timeout=120, check=True, cwd=tmp_path,
+                              env=dict(os.environ, PYTHONPATH=src))
+        assert done.stdout.splitlines()[-1] == "[]"
 
     def test_lemma_check_loads_no_scipy_integrate(self):
         src = str(Path(__file__).resolve().parents[1] / "src")
